@@ -39,7 +39,7 @@ use rand::SeedableRng;
 #[derive(Clone, Debug)]
 pub struct PerfCase {
     /// Suite the case belongs to (`mono`, `router`, `place`, `e2e`,
-    /// `batch`, `strategy`, `exact-par`, `ingest`, `cache`).
+    /// `batch`, `strategy`, `ingest`, `cache`).
     pub suite: &'static str,
     /// Unique case name, prefixed by its suite.
     pub name: &'static str,
@@ -319,7 +319,7 @@ pub fn run_suites(quick: bool) -> Vec<PerfCase> {
         StrategyCase {
             name: "strategy/hybrid2k-qft6-heavyhex3",
             env: hh3,
-            circuit: qft6,
+            circuit: qft6.clone(),
             strategy: Strategy::Hybrid,
             budget: hybrid_budget,
         },
@@ -332,9 +332,18 @@ pub fn run_suites(quick: bool) -> Vec<PerfCase> {
         },
         StrategyCase {
             name: "strategy/anneal-qec5-grid8x8",
-            env: grid88,
+            env: grid88.clone(),
             circuit: qec5,
             strategy: Strategy::Anneal,
+            budget: SearchBudget::unlimited(),
+        },
+        // The headline symmetry-pruned exact workload: the regression
+        // anchor for the orbit-pruned search itself.
+        StrategyCase {
+            name: "strategy/exact-qft6-grid8x8",
+            env: grid88,
+            circuit: qft6,
+            strategy: Strategy::Exact,
             budget: SearchBudget::unlimited(),
         },
     ];
@@ -342,44 +351,6 @@ pub fn run_suites(quick: bool) -> Vec<PerfCase> {
         let placer = Placer::new(&sc.env, strat_config(&sc.env, sc.strategy, sc.budget));
         case("strategy", sc.name, &mut || {
             black_box(placer.place(&sc.circuit).expect("strategy workloads place"));
-        });
-    }
-
-    // --- parallel exact search (identical cases in quick and full mode):
-    // the headline symmetry-pruned exact workload at 1 and 4 search
-    // workers. The `-jobs1`/`-jobs4` suffixes feed the same scaling gate
-    // as the batch zoo (enforced only on multi-core hosts); the jobs1
-    // case is the regression anchor for the orbit-pruned search itself.
-    {
-        let grid88 = topologies::grid(8, 8, Delays::default());
-        let qft6 = library::qft(6);
-        let exact_config = |jobs: usize| {
-            PlacerConfig::with_threshold(grid88.connectivity_threshold().expect("connected"))
-                .strategy(Strategy::Exact)
-                .search_jobs(jobs)
-        };
-        // Determinism gate before timing: the parallel search must
-        // return the sequential answer bit-for-bit.
-        {
-            let seq = Placer::new(&grid88, exact_config(1))
-                .place(&qft6)
-                .expect("exact qft6@grid8x8 places");
-            let par = Placer::new(&grid88, exact_config(4))
-                .place(&qft6)
-                .expect("exact qft6@grid8x8 places");
-            assert_eq!(
-                seq.runtime.units().to_bits(),
-                par.runtime.units().to_bits(),
-                "exact search must be worker-count independent"
-            );
-        }
-        let placer1 = Placer::new(&grid88, exact_config(1));
-        case("exact-par", "exact-par/qft6-grid8x8-jobs1", &mut || {
-            black_box(placer1.place(&qft6).expect("exact qft6@grid8x8 places"));
-        });
-        let placer4 = Placer::new(&grid88, exact_config(4));
-        case("exact-par", "exact-par/qft6-grid8x8-jobs4", &mut || {
-            black_box(placer4.place(&qft6).expect("exact qft6@grid8x8 places"));
         });
     }
 

@@ -208,11 +208,12 @@ pub struct CanonicalForm {
     pub order: Vec<NodeId>,
     /// Number of refinement cells (orbits) before individualization.
     pub orbit_count: usize,
-    /// Whether the individualization search hit [`LEAF_BUDGET`] before
-    /// exhausting every branch. An exhausted certificate is still
-    /// deterministic for a *fixed* labelling, but may differ between
-    /// relabellings of the same graph — callers keying caches on the
-    /// fingerprint must treat it as unusable for sharing.
+    /// Whether the individualization search hit its leaf budget
+    /// (`LEAF_BUDGET`) before exhausting every branch. An exhausted
+    /// certificate is still deterministic for a *fixed* labelling, but
+    /// may differ between relabellings of the same graph — callers
+    /// keying caches on the fingerprint must treat it as unusable for
+    /// sharing.
     pub exhausted: bool,
 }
 

@@ -18,9 +18,12 @@
 //! Searches can also run under a [`Budget`] (a node cap and/or wall-clock
 //! deadline): [`MonomorphismFinder::for_each_budgeted`] charges the meter
 //! one unit per visited search node and stops early with
-//! [`Outcome::BudgetExhausted`] — plus the deepest partial assignment
-//! found — once the meter trips. This is the kernel the anytime placement
-//! strategies in `qcp_place::strategy` build on.
+//! [`Outcome::BudgetExhausted`] once the meter trips.
+//! [`MonomorphismFinder::collect_budgeted`] collects solutions over the
+//! same sequential kernel, optionally keeping only one depth-0 candidate
+//! per target-node orbit (symmetry pruning). These are the entry points
+//! the placer and the anytime placement strategies in `qcp_place::strategy`
+//! build on.
 //!
 //! # Example
 //!
@@ -48,7 +51,9 @@ use crate::{Graph, NodeId};
 /// builds on: a [`Budget`] deadline can be overshot by at most one stride
 /// of kernel nodes (plus whatever single coarse-grained
 /// [`Budget::consume`] checkpoint is in flight) before the search stops.
-/// The deadline-fidelity property tests in `qcp_place` pin this bound.
+/// The stride counts the meter's running total, so the bound holds however
+/// the nodes are spread over root candidates or successive searches. The
+/// deadline-fidelity property tests in `qcp_place` pin this bound.
 pub const DEADLINE_STRIDE: u64 = 1024;
 
 /// A node/deadline budget for [`MonomorphismFinder::for_each_budgeted`].
@@ -99,17 +104,10 @@ impl Budget {
         self.nodes
     }
 
-    /// Nodes left before the cap trips (`u64::MAX` when uncapped).
-    /// Parallel drivers use this to hand each worker the worst-case
-    /// remaining allowance and reconcile afterwards.
+    /// Nodes left before the cap trips (`u64::MAX` when uncapped), so a
+    /// caller can check that a bulk charge is affordable before making it.
     pub fn remaining_nodes(&self) -> u64 {
         self.max_nodes.saturating_sub(self.nodes)
-    }
-
-    /// The wall-clock deadline, if any, shared verbatim with workers so
-    /// every thread polls the same instant.
-    pub fn deadline_instant(&self) -> Option<Instant> {
-        self.deadline
     }
 
     /// Trips the meter without charging further nodes. Drivers that
@@ -181,7 +179,7 @@ pub enum Outcome {
     BudgetExhausted,
 }
 
-/// The report of one [`MonomorphismFinder::for_each_budgeted`] call.
+/// The report of one budgeted search.
 #[derive(Clone, Debug)]
 pub struct BudgetedRun {
     /// Whether the search completed or was cut by the budget.
@@ -189,10 +187,6 @@ pub struct BudgetedRun {
     /// Search nodes visited by this call (the meter itself accumulates
     /// across calls).
     pub nodes: u64,
-    /// The deepest partial assignment reached, as `(pattern, target)`
-    /// pairs in the internal variable order — the "best partial" a caller
-    /// can seed a heuristic with after [`Outcome::BudgetExhausted`].
-    pub best_partial: Vec<(NodeId, NodeId)>,
 }
 
 /// A subgraph-monomorphism search between a pattern and a target graph.
@@ -202,10 +196,9 @@ pub struct BudgetedRun {
 /// index. Construct with [`MonomorphismFinder::new`], optionally cap
 /// enumeration with [`limit`](MonomorphismFinder::limit), then call
 /// [`exists`](MonomorphismFinder::exists),
-/// [`count`](MonomorphismFinder::count),
-/// [`find_first`](MonomorphismFinder::find_first),
-/// [`find_all`](MonomorphismFinder::find_all) or
-/// [`for_each`](MonomorphismFinder::for_each).
+/// [`count`](MonomorphismFinder::count) or
+/// [`find_all`](MonomorphismFinder::find_all), or one of the budgeted
+/// variants.
 #[derive(Debug)]
 pub struct MonomorphismFinder<'a> {
     pattern: &'a Graph,
@@ -233,7 +226,7 @@ impl<'a> MonomorphismFinder<'a> {
     /// Returns `true` if at least one monomorphism exists.
     pub fn exists(&self) -> bool {
         let mut found = false;
-        self.search(&mut |_| {
+        let _ = self.run(Unlimited, None, &mut |_| {
             found = true;
             ControlFlow::Break(())
         });
@@ -244,7 +237,7 @@ impl<'a> MonomorphismFinder<'a> {
     pub fn count(&self) -> usize {
         let mut n = 0usize;
         let cap = self.limit;
-        self.search(&mut |_| {
+        let _ = self.run(Unlimited, None, &mut |_| {
             n += 1;
             match cap {
                 Some(k) if n >= k => ControlFlow::Break(()),
@@ -254,77 +247,33 @@ impl<'a> MonomorphismFinder<'a> {
         n
     }
 
-    /// Returns the first monomorphism in search order, if any, as a map
-    /// from pattern index to target node.
-    pub fn find_first(&self) -> Option<Vec<NodeId>> {
-        let mut out = None;
-        self.search(&mut |m| {
-            out = Some(m.to_vec());
-            ControlFlow::Break(())
-        });
-        out
-    }
-
     /// Collects monomorphisms (up to the configured limit, if any).
     pub fn find_all(&self) -> Vec<Vec<NodeId>> {
-        let mut out = Vec::new();
-        let cap = self.limit;
-        self.search(&mut |m| {
-            out.push(m.to_vec());
-            match cap {
-                Some(k) if out.len() >= k => ControlFlow::Break(()),
-                _ => ControlFlow::Continue(()),
-            }
-        });
-        out
+        self.collect(Unlimited, None).0
     }
 
-    /// Invokes `visit` for every monomorphism until it breaks or the search
-    /// space is exhausted. The slice maps pattern index `i` to its image.
+    /// Invokes `visit` for every monomorphism until it breaks, the search
+    /// space is exhausted, or the budget trips. The slice maps pattern
+    /// index `i` to its image; the configured
+    /// [`limit`](MonomorphismFinder::limit) is *not* applied here.
     ///
-    /// The configured [`limit`](MonomorphismFinder::limit) is *not* applied
-    /// here; breaking is the caller's responsibility.
-    pub fn for_each(&self, visit: &mut dyn FnMut(&[NodeId]) -> ControlFlow<()>) {
-        self.search(visit);
-    }
-
-    /// Budget-aware [`for_each`](MonomorphismFinder::for_each): the search
-    /// charges one unit of `budget` per visited node and stops early —
-    /// with [`Outcome::BudgetExhausted`] and the best (deepest) partial
-    /// assignment found — once the meter trips. A search driven by an
-    /// already-exhausted (or deadline-expired) meter visits nothing and
-    /// reports [`Outcome::BudgetExhausted`] immediately, even for trivial
-    /// searches; a *live* meter on a search that needs zero nodes (empty
-    /// pattern, pattern wider than the target) completes truthfully.
+    /// The search charges one unit of `budget` per visited node and stops
+    /// early with [`Outcome::BudgetExhausted`] once the meter trips. A
+    /// search driven by an already-exhausted (or deadline-expired) meter
+    /// visits nothing and reports [`Outcome::BudgetExhausted`]
+    /// immediately, even for trivial searches; a *live* meter on a search
+    /// that needs zero nodes (empty pattern, pattern wider than the
+    /// target) completes truthfully.
     ///
     /// Solutions are visited in exactly the order of
-    /// [`for_each`](MonomorphismFinder::for_each); a budget only removes a
+    /// [`find_all`](MonomorphismFinder::find_all); a budget only removes a
     /// suffix of the enumeration, never reorders it.
     pub fn for_each_budgeted(
         &self,
         budget: &mut Budget,
         visit: &mut dyn FnMut(&[NodeId]) -> ControlFlow<()>,
     ) -> BudgetedRun {
-        // Entry poll: honour exhaustion (and expired deadlines) before
-        // the trivial early exits in `run`, which never touch the probe.
-        if !budget.consume(0) {
-            return BudgetedRun {
-                outcome: Outcome::BudgetExhausted,
-                nodes: 0,
-                best_partial: Vec::new(),
-            };
-        }
-        let before = budget.nodes_visited();
-        let info = self.run(&mut *budget, visit);
-        BudgetedRun {
-            outcome: if info.budget_cut {
-                Outcome::BudgetExhausted
-            } else {
-                Outcome::Complete
-            },
-            nodes: budget.nodes_visited() - before,
-            best_partial: info.best_partial,
-        }
+        metered(budget, |budget| self.run(budget, None, visit))
     }
 
     /// Budget-aware existence check: `Some(answer)` when the search
@@ -343,306 +292,72 @@ impl<'a> MonomorphismFinder<'a> {
         }
     }
 
-    /// Budget-aware solution collection over a root-decomposed search,
-    /// optionally pruned by target-node orbits and spread across worker
-    /// threads.
+    /// Budget-aware [`find_all`](MonomorphismFinder::find_all), optionally
+    /// pruned by target-node orbits. Node accounting, early exits and the
+    /// solution order are those of
+    /// [`for_each_budgeted`](MonomorphismFinder::for_each_budgeted) with a
+    /// visitor that breaks at the configured
+    /// [`limit`](MonomorphismFinder::limit).
     ///
-    /// The search tree is split at the root: one subtree per depth-0
-    /// candidate of the first pattern node (in increasing target index,
-    /// exactly the sequential candidate order). Subtrees are independent,
-    /// so workers claim them from an atomic cursor and run each under a
-    /// private meter; a deterministic *replay merge* then reconciles the
-    /// per-subtree results against the shared [`Budget`] in root order —
-    /// accepting each solution only if the sequential search would have
-    /// reached it before the cap — so the returned solutions, the charged
-    /// node count, and the outcome are bit-identical to `jobs = 1` for
-    /// any worker count (node budgets; wall-clock deadlines trade that
-    /// determinism for latency, as everywhere else). Only
-    /// [`BudgetedRun::best_partial`] may differ across worker counts.
-    ///
-    /// `root_orbits` (target-node orbit ids, e.g. from
-    /// `canonical::automorphisms`) keeps only the first root per orbit:
-    /// sound when the caller wants one representative per symmetry class
-    /// — existence checks and symmetric-candidate enumeration — not full
-    /// enumeration.
-    ///
-    /// The configured [`limit`](MonomorphismFinder::limit) caps the
-    /// collected solutions; enumeration stops at the limit exactly where
-    /// the sequential visitor would have broken.
+    /// `root_orbits` (one orbit id per target node, e.g. from
+    /// `canonical::automorphisms`) adds one mask to the depth-0 candidate
+    /// set: of the targets that pass the first pattern node's degree cut,
+    /// only the lowest-index member of each orbit stays. That is sound
+    /// when the caller wants one representative per symmetry class —
+    /// existence checks and symmetric-candidate enumeration — not full
+    /// enumeration. Callers must only pass orbits witnessed by actual
+    /// automorphisms.
     pub fn collect_budgeted(
         &self,
         budget: &mut Budget,
-        opts: &ParallelOptions<'_>,
+        root_orbits: Option<&[usize]>,
     ) -> (Vec<Vec<NodeId>>, BudgetedRun) {
-        let exhausted_run = || BudgetedRun {
-            outcome: Outcome::BudgetExhausted,
-            nodes: 0,
-            best_partial: Vec::new(),
-        };
-        let complete_run = |nodes| BudgetedRun {
-            outcome: Outcome::Complete,
-            nodes,
-            best_partial: Vec::new(),
-        };
-        if !budget.consume(0) {
-            return (Vec::new(), exhausted_run());
-        }
-        let pn = self.pattern.node_count();
-        let tn = self.target.node_count();
-        if pn > tn {
-            return (Vec::new(), complete_run(0));
-        }
-        if pn == 0 {
-            // The empty map is the unique monomorphism; it costs no
-            // search nodes, mirroring `run`.
-            return (vec![Vec::new()], complete_run(0));
-        }
-        let order = self.variable_order();
-        let p0 = order[0];
-        let p0_deg = self.pattern.degree(p0);
-        // Depth-0 candidates: unused ∩ degree-mask, with the look-ahead
-        // cut degenerate to the same degree test (all targets unused).
-        let mut roots: Vec<usize> = (0..tn)
-            .filter(|&w| self.target.degree(NodeId::new(w)) >= p0_deg)
-            .collect();
-        if let Some(orbits) = opts.root_orbits {
-            debug_assert_eq!(orbits.len(), tn);
-            let mut seen = std::collections::HashSet::new();
-            roots.retain(|&w| seen.insert(orbits.get(w).copied().unwrap_or(w)));
-        }
-        let cap_left = budget.remaining_nodes();
-        if cap_left == 0 {
-            // The depth-0 entry visit itself trips the meter.
-            budget.exhausted = true;
-            return (Vec::new(), exhausted_run());
-        }
-        let deadline = budget.deadline;
-        let mut merge = Merge {
-            used: 1, // the depth-0 entry visit
-            cap_left,
-            limit: self.limit,
-            out: Vec::new(),
-            best_depth: 0,
-            best_partial: Vec::new(),
-            exhausted: false,
-            done: false,
-        };
-        let jobs = opts.jobs.max(1).min(roots.len().max(1));
-        if jobs <= 1 {
-            for &root in &roots {
-                if merge.done {
-                    break;
-                }
-                let remaining = merge.cap_left - merge.used;
-                if remaining == 0 {
-                    // The next subtree's entry visit would trip.
-                    merge.exhausted = true;
-                    break;
-                }
-                let local_limit = self.limit.map(|k| k.saturating_sub(merge.out.len()));
-                let result = self.run_root(&order, root, remaining, deadline, local_limit);
-                merge.absorb(result);
-            }
-        } else {
-            let subtree_cap = cap_left - 1;
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            let shared: Vec<std::sync::Mutex<Option<RootResult>>> =
-                roots.iter().map(|_| std::sync::Mutex::new(None)).collect();
-            let progress = std::sync::Mutex::new(PrefixProgress {
-                next: 0,
-                used: 1,
-                accepted: 0,
-                decided: false,
-            });
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        if progress.lock().is_ok_and(|p| p.decided) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= roots.len() {
-                            break;
-                        }
-                        let result =
-                            self.run_root(&order, roots[i], subtree_cap, deadline, self.limit);
-                        if let Ok(mut slot) = shared[i].lock() {
-                            *slot = Some(result);
-                        }
-                        // Advance the contiguous done-prefix and decide
-                        // (conservatively, with exactly the merge's math)
-                        // whether the outcome is already fixed, so idle
-                        // workers stop claiming doomed roots.
-                        if let Ok(mut p) = progress.lock() {
-                            while !p.decided && p.next < roots.len() {
-                                let Ok(guard) = shared[p.next].lock() else {
-                                    break;
-                                };
-                                let Some(r) = guard.as_ref() else { break };
-                                let remaining = cap_left - p.used;
-                                if remaining == 0 || r.cut || r.deadline_cut || r.nodes > remaining
-                                {
-                                    p.decided = true;
-                                    break;
-                                }
-                                p.accepted += r.solutions.len();
-                                p.used += r.nodes;
-                                p.next += 1;
-                                if self.limit.is_some_and(|k| p.accepted >= k) {
-                                    p.decided = true;
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            for slot in shared {
-                if merge.done {
-                    break;
-                }
-                if merge.cap_left - merge.used == 0 {
-                    merge.exhausted = true;
-                    break;
-                }
-                let Some(result) = slot.lock().ok().and_then(|mut s| s.take()) else {
-                    // Roots past the decided prefix were never claimed;
-                    // the merge must already have terminated by now.
-                    debug_assert!(merge.done || merge.exhausted);
-                    break;
-                };
-                merge.absorb(result);
-            }
-        }
-        budget.nodes = budget.nodes.saturating_add(merge.used);
-        if merge.exhausted {
-            budget.exhausted = true;
-        }
-        let run = BudgetedRun {
-            outcome: if merge.exhausted {
-                Outcome::BudgetExhausted
-            } else {
-                Outcome::Complete
-            },
-            nodes: merge.used,
-            best_partial: merge.best_partial,
-        };
-        (merge.out, run)
+        let mut out = Vec::new();
+        let run = metered(budget, |budget| {
+            let (found, cut) = self.collect(budget, root_orbits);
+            out = found;
+            cut
+        });
+        (out, run)
     }
 
-    /// Runs the subtree rooted at `mapping[order[0]] = root` under a
-    /// private meter of `node_cap` nodes, recording each solution with
-    /// the local node count at its emission — the replay offset the
-    /// merge compares against the shared budget.
-    fn run_root(
+    /// Collects solutions up to the configured limit; returns them with
+    /// the kernel's budget-cut flag.
+    fn collect<P: Probe>(
         &self,
-        order: &[NodeId],
-        root: usize,
-        node_cap: u64,
-        deadline: Option<Instant>,
-        solution_cap: Option<usize>,
-    ) -> RootResult {
-        use std::cell::Cell;
-        let pn = self.pattern.node_count();
-        let tn = self.target.node_count();
-        let twpr = self.target.words_per_row().max(1);
-        let mut unused = vec![u64::MAX; twpr];
-        for (k, word) in unused.iter_mut().enumerate() {
-            let lo = k * 64;
-            if lo + 64 > tn {
-                *word = if tn > lo { (1u64 << (tn - lo)) - 1 } else { 0 };
-            }
-        }
-        unused[root / 64] &= !(1u64 << (root % 64));
-        let mut distinct: Vec<usize> = order.iter().map(|&p| self.pattern.degree(p)).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut deg_masks = vec![0u64; distinct.len() * twpr];
-        for (di, &d) in distinct.iter().enumerate() {
-            let row = &mut deg_masks[di * twpr..(di + 1) * twpr];
-            for w in 0..tn {
-                if self.target.degree(NodeId::new(w)) >= d {
-                    row[w / 64] |= 1u64 << (w % 64);
-                }
-            }
-        }
-        let deg_mask_of: Vec<u32> = order
-            .iter()
-            .map(|&p| {
-                let pdeg = self.pattern.degree(p);
-                distinct.iter().position(|&d| d == pdeg).unwrap_or(0) as u32
-            })
-            .collect();
-        let nodes = Cell::new(0u64);
-        let deadline_cut = Cell::new(false);
-        let mut mapping = vec![INVALID; pn];
-        mapping[order[0].index()] = root as u32;
-        let small = twpr == 1 && self.target.words_per_row() == 1;
-        let all = unused[0];
-        let mut state = State {
-            pattern: self.pattern,
-            target: self.target,
-            order: order.to_vec(),
-            mapping,
-            unused,
-            deg_masks,
-            deg_mask_of,
-            cand_stack: vec![0; pn * twpr],
-            twpr,
-            image: vec![NodeId::new(0); pn],
-            probe: CellMeter {
-                nodes: &nodes,
-                cap: node_cap,
-                deadline,
-                deadline_cut: &deadline_cut,
-            },
-            budget_cut: false,
-            best_depth: 0,
-            best_partial: Vec::new(),
-        };
-        // Record the root assignment itself as the depth-1 partial, as
-        // the sequential kernel's depth-0 `note_depth` would have.
-        state.note_depth(0);
-        let mut solutions: Vec<(u64, Vec<NodeId>)> = Vec::new();
-        let mut visit = |m: &[NodeId]| {
-            solutions.push((nodes.get(), m.to_vec()));
-            match solution_cap {
-                Some(k) if solutions.len() >= k => ControlFlow::Break(()),
+        probe: P,
+        root_orbits: Option<&[usize]>,
+    ) -> (Vec<Vec<NodeId>>, bool) {
+        let mut out = Vec::new();
+        let cap = self.limit;
+        let cut = self.run(probe, root_orbits, &mut |m| {
+            out.push(m.to_vec());
+            match cap {
+                Some(k) if out.len() >= k => ControlFlow::Break(()),
                 _ => ControlFlow::Continue(()),
             }
-        };
-        if small {
-            let _ = state.extend_small(1, all, &mut visit);
-        } else {
-            let _ = state.extend(1, &mut visit);
-        }
-        RootResult {
-            nodes: nodes.get(),
-            cut: state.budget_cut && !deadline_cut.get(),
-            deadline_cut: deadline_cut.get(),
-            solutions,
-            best_depth: state.best_depth,
-            best_partial: state.best_partial,
-        }
+        });
+        (out, cut)
     }
 
-    fn search(&self, visit: &mut dyn FnMut(&[NodeId]) -> ControlFlow<()>) {
-        let _ = self.run(Unlimited, visit);
-    }
-
+    /// The search kernel driver: builds the per-search masks and runs the
+    /// recursive extension from depth 0. Returns `true` when the probe cut
+    /// the search (as opposed to completion or a visitor break).
     fn run<P: Probe>(
         &self,
         probe: P,
+        root_orbits: Option<&[usize]>,
         visit: &mut dyn FnMut(&[NodeId]) -> ControlFlow<()>,
-    ) -> RunInfo {
+    ) -> bool {
         let pn = self.pattern.node_count();
         let tn = self.target.node_count();
         if pn > tn {
-            return RunInfo::complete();
+            return false;
         }
         if pn == 0 {
             // The empty map is the unique monomorphism.
             let _ = visit(&[]);
-            return RunInfo::complete();
+            return false;
         }
         let order = self.variable_order();
         let twpr = self.target.words_per_row().max(1);
@@ -671,7 +386,7 @@ impl<'a> MonomorphismFinder<'a> {
                 }
             }
         }
-        let deg_mask_of: Vec<u32> = order
+        let mut deg_mask_of: Vec<u32> = order
             .iter()
             .map(|&p| {
                 let pdeg = self.pattern.degree(p);
@@ -681,6 +396,27 @@ impl<'a> MonomorphismFinder<'a> {
                 distinct.iter().position(|&d| d == pdeg).unwrap_or(0) as u32
             })
             .collect();
+        if let Some(orbits) = root_orbits {
+            // Symmetry pruning: one extra mask for depth 0 holding the
+            // lowest-index target of each orbit among those that pass the
+            // depth-0 degree cut. At depth 0 every target is unused, so
+            // the look-ahead cut reduces to that same degree test and the
+            // mask is exactly the set of roots worth exploring.
+            debug_assert_eq!(orbits.len(), tn);
+            let base = deg_mask_of[0] as usize * twpr;
+            let mut roots = vec![0u64; twpr];
+            let mut seen = std::collections::HashSet::new();
+            for w in 0..tn {
+                let bit = 1u64 << (w % 64);
+                if deg_masks[base + w / 64] & bit != 0
+                    && seen.insert(orbits.get(w).copied().unwrap_or(w))
+                {
+                    roots[w / 64] |= bit;
+                }
+            }
+            deg_mask_of[0] = distinct.len() as u32;
+            deg_masks.extend(roots);
+        }
         let small = twpr == 1 && self.target.words_per_row() == 1;
         let mut state = State {
             pattern: self.pattern,
@@ -695,8 +431,6 @@ impl<'a> MonomorphismFinder<'a> {
             image: vec![NodeId::new(0); pn],
             probe,
             budget_cut: false,
-            best_depth: 0,
-            best_partial: Vec::new(),
         };
         if small {
             // Targets of at most 64 nodes (every library molecule and
@@ -707,10 +441,7 @@ impl<'a> MonomorphismFinder<'a> {
         } else {
             let _ = state.extend(0, visit);
         }
-        RunInfo {
-            budget_cut: state.budget_cut,
-            best_partial: state.best_partial,
-        }
+        state.budget_cut
     }
 
     /// Static variable order: repeatedly pick the unordered pattern node
@@ -748,156 +479,35 @@ impl<'a> MonomorphismFinder<'a> {
     }
 }
 
+/// Runs one budgeted search: the entry poll honours an exhausted meter
+/// (or an expired deadline) before the trivial early exits in the kernel
+/// driver, which never touch the probe; `search` returns the kernel's
+/// budget-cut flag.
+fn metered(budget: &mut Budget, search: impl FnOnce(&mut Budget) -> bool) -> BudgetedRun {
+    if !budget.consume(0) {
+        return BudgetedRun {
+            outcome: Outcome::BudgetExhausted,
+            nodes: 0,
+        };
+    }
+    let before = budget.nodes_visited();
+    let cut = search(&mut *budget);
+    BudgetedRun {
+        outcome: if cut {
+            Outcome::BudgetExhausted
+        } else {
+            Outcome::Complete
+        },
+        nodes: budget.nodes_visited() - before,
+    }
+}
+
 const INVALID: u32 = u32::MAX;
 
-/// Options for [`MonomorphismFinder::collect_budgeted`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParallelOptions<'o> {
-    /// Worker threads over the root candidate set; `0` and `1` both run
-    /// sequentially in the calling thread. Clamped to the root count.
-    pub jobs: usize,
-    /// Target-node orbit ids (one per target node): when set, only the
-    /// first root candidate of each orbit is explored. Callers must only
-    /// pass orbits witnessed by actual automorphisms
-    /// (`canonical::automorphisms`), and only when one representative
-    /// per symmetry class is acceptable.
-    pub root_orbits: Option<&'o [usize]>,
-}
-
-/// One root subtree's outcome, replay-merged against the shared budget.
-struct RootResult {
-    /// Nodes charged to the subtree's private meter.
-    nodes: u64,
-    /// Private node cap tripped (deadline trips recorded separately).
-    cut: bool,
-    /// Wall-clock deadline tripped inside this subtree.
-    deadline_cut: bool,
-    /// Solutions with the private node count at each emission — the
-    /// offset the merge compares against the shared budget's remainder.
-    solutions: Vec<(u64, Vec<NodeId>)>,
-    best_depth: usize,
-    best_partial: Vec<(NodeId, NodeId)>,
-}
-
-/// Deterministic replay merge: walks root results in root order and
-/// mirrors, arithmetically, what the sequential search would have done
-/// under the shared budget — which solutions it reaches, where it stops,
-/// and how many nodes it charges.
-struct Merge {
-    /// Nodes the sequential search would have charged so far (includes
-    /// the depth-0 entry visit).
-    used: u64,
-    /// Shared budget's allowance at entry.
-    cap_left: u64,
-    limit: Option<usize>,
-    out: Vec<Vec<NodeId>>,
-    best_depth: usize,
-    best_partial: Vec<(NodeId, NodeId)>,
-    exhausted: bool,
-    done: bool,
-}
-
-impl Merge {
-    fn absorb(&mut self, r: RootResult) {
-        if self.done {
-            return;
-        }
-        let remaining = self.cap_left - self.used;
-        if r.best_depth > self.best_depth {
-            self.best_depth = r.best_depth;
-            self.best_partial = r.best_partial;
-        }
-        // Sequentially, this subtree would have run under `remaining`
-        // nodes: a private cap trip, a deadline trip, or more nodes than
-        // remain all mean the shared meter trips inside this subtree.
-        let over = r.cut || r.deadline_cut || r.nodes > remaining;
-        for (off, sol) in r.solutions {
-            if off > remaining {
-                break;
-            }
-            self.out.push(sol);
-            if self.limit.is_some_and(|k| self.out.len() >= k) {
-                // The sequential visitor breaks at this emission.
-                self.used += off;
-                self.done = true;
-                return;
-            }
-        }
-        if over {
-            self.used += r.nodes.min(remaining);
-            self.exhausted = true;
-            self.done = true;
-            return;
-        }
-        self.used += r.nodes;
-    }
-}
-
-/// Contiguous-prefix bookkeeping for the parallel driver: once the done
-/// prefix of root results already decides the merge (budget trip or
-/// solution limit), remaining roots cannot affect the outcome and
-/// workers stop claiming them.
-struct PrefixProgress {
-    next: usize,
-    used: u64,
-    accepted: usize,
-    decided: bool,
-}
-
-/// A [`Probe`] over a thread-local [`Cell`](std::cell::Cell) counter,
-/// with the same charge-then-poll-per-stride semantics as
-/// [`Budget::visit`]. The cell is shared with the solution visitor so
-/// emissions can record their node offset.
-struct CellMeter<'c> {
-    nodes: &'c std::cell::Cell<u64>,
-    cap: u64,
-    deadline: Option<Instant>,
-    deadline_cut: &'c std::cell::Cell<bool>,
-}
-
-impl Probe for CellMeter<'_> {
-    const TRACK_PARTIAL: bool = true;
-    #[inline]
-    fn visit(&mut self) -> bool {
-        let n = self.nodes.get();
-        if n >= self.cap {
-            return false;
-        }
-        let n = n + 1;
-        self.nodes.set(n);
-        if n.is_multiple_of(DEADLINE_STRIDE) {
-            if let Some(at) = self.deadline {
-                if Instant::now() >= at {
-                    self.deadline_cut.set(true);
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
-/// Internal report of one kernel run.
-struct RunInfo {
-    budget_cut: bool,
-    best_partial: Vec<(NodeId, NodeId)>,
-}
-
-impl RunInfo {
-    fn complete() -> Self {
-        RunInfo {
-            budget_cut: false,
-            best_partial: Vec::new(),
-        }
-    }
-}
-
 /// The per-node budget hook of the search kernels. The unbudgeted probe
-/// is a zero-sized no-op, so `for_each` and friends monomorphize to the
+/// is a zero-sized no-op, so `find_all` and friends monomorphize to the
 /// exact pre-budget kernels.
 trait Probe {
-    /// Whether the kernel should record best-partial assignments.
-    const TRACK_PARTIAL: bool;
     /// Charges one search node; `false` aborts the search.
     fn visit(&mut self) -> bool;
 }
@@ -905,7 +515,6 @@ trait Probe {
 struct Unlimited;
 
 impl Probe for Unlimited {
-    const TRACK_PARTIAL: bool = false;
     #[inline]
     fn visit(&mut self) -> bool {
         true
@@ -913,7 +522,6 @@ impl Probe for Unlimited {
 }
 
 impl Probe for &mut Budget {
-    const TRACK_PARTIAL: bool = true;
     #[inline]
     fn visit(&mut self) -> bool {
         Budget::visit(self)
@@ -930,7 +538,8 @@ struct State<'a, P> {
     /// dead bits beyond the node count kept zero).
     unused: Vec<u64>,
     /// One mask per distinct pattern degree: the target nodes of at least
-    /// that degree (`twpr` words each).
+    /// that degree (`twpr` words each), plus the depth-0 root mask when
+    /// the search is orbit-pruned.
     deg_masks: Vec<u64>,
     /// Per-depth index into `deg_masks`.
     deg_mask_of: Vec<u32>,
@@ -947,26 +556,9 @@ struct State<'a, P> {
     /// Set when the probe aborted the search (distinguishes a budget cut
     /// from a visitor break).
     budget_cut: bool,
-    /// Deepest partial assignment seen (budgeted runs only).
-    best_depth: usize,
-    best_partial: Vec<(NodeId, NodeId)>,
 }
 
 impl<P: Probe> State<'_, P> {
-    /// Records the current prefix of the mapping as the best partial when
-    /// it is the deepest seen. Compiled out for unbudgeted probes.
-    #[inline]
-    fn note_depth(&mut self, depth: usize) {
-        if P::TRACK_PARTIAL && depth + 1 > self.best_depth {
-            self.best_depth = depth + 1;
-            self.best_partial.clear();
-            for d in 0..=depth {
-                let p = self.order[d];
-                self.best_partial
-                    .push((p, NodeId::new(self.mapping[p.index()] as usize)));
-            }
-        }
-    }
     /// Single-word variant of [`extend`](State::extend) for targets of at
     /// most 64 nodes: the unused set and every candidate set live in
     /// registers (`u64` arguments and locals), adjacency rows are single
@@ -1008,7 +600,6 @@ impl<P: Probe> State<'_, P> {
                 continue;
             }
             self.mapping[p.index()] = w as u32;
-            self.note_depth(depth);
             let flow = self.extend_small(depth + 1, unused & !(1u64 << w), visit);
             self.mapping[p.index()] = INVALID;
             flow?;
@@ -1096,7 +687,6 @@ impl<P: Probe> State<'_, P> {
                     }
                 }
                 self.mapping[p.index()] = w as u32;
-                self.note_depth(depth);
                 self.unused[w / 64] &= !(1u64 << (w % 64));
                 let flow = self.extend(depth + 1, visit);
                 self.unused[w / 64] |= 1u64 << (w % 64);
@@ -1192,16 +782,6 @@ mod tests {
         assert_eq!(all, 30);
         assert_eq!(MonomorphismFinder::new(&p, &t).limit(7).count(), 7);
         assert_eq!(MonomorphismFinder::new(&p, &t).limit(7).find_all().len(), 7);
-    }
-
-    #[test]
-    fn find_first_is_deterministic_and_valid() {
-        let p = generate::chain(4);
-        let t = generate::grid(3, 3);
-        let a = MonomorphismFinder::new(&p, &t).find_first().unwrap();
-        let b = MonomorphismFinder::new(&p, &t).find_first().unwrap();
-        assert_eq!(a, b);
-        assert!(is_monomorphism(&p, &t, &a));
     }
 
     #[test]
@@ -1337,32 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn best_partial_is_a_valid_partial_monomorphism() {
-        // Cut the search mid-flight and check the recorded partial:
-        // injective, in range, and edge-preserving on the mapped prefix.
-        let p = generate::ring(6);
-        let t = generate::grid(4, 4);
-        let mut budget = Budget::max_nodes(5);
-        let run = MonomorphismFinder::new(&p, &t)
-            .for_each_budgeted(&mut budget, &mut |_| ControlFlow::Continue(()));
-        assert_eq!(run.outcome, Outcome::BudgetExhausted);
-        assert!(!run.best_partial.is_empty());
-        let mut used = std::collections::HashSet::new();
-        for &(pv, tv) in &run.best_partial {
-            assert!(pv.index() < p.node_count());
-            assert!(tv.index() < t.node_count());
-            assert!(used.insert(tv), "partial must be injective");
-        }
-        for &(a, ta) in &run.best_partial {
-            for &(b, tb) in &run.best_partial {
-                if p.has_edge(a, b) {
-                    assert!(t.has_edge(ta, tb), "mapped pattern edge must be preserved");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn trivial_searches_respect_an_exhausted_meter() {
         let empty = Graph::new(0);
         let t = generate::chain(3);
@@ -1444,40 +998,54 @@ mod tests {
             let all = finder.find_all();
             let mut seq_budget = Budget::unlimited();
             let seq = finder.for_each_budgeted(&mut seq_budget, &mut |_| ControlFlow::Continue(()));
-            for jobs in [1usize, 2, 4, 8] {
-                let mut budget = Budget::unlimited();
-                let opts = ParallelOptions {
-                    jobs,
-                    root_orbits: None,
-                };
-                let (sols, run) = finder.collect_budgeted(&mut budget, &opts);
-                assert_eq!(sols, all, "jobs {jobs} changed the solution set");
-                assert_eq!(run.outcome, Outcome::Complete);
-                assert_eq!(run.nodes, seq.nodes, "jobs {jobs} changed node accounting");
-            }
+            let mut budget = Budget::unlimited();
+            let (sols, run) = finder.collect_budgeted(&mut budget, None);
+            assert_eq!(sols, all);
+            assert_eq!(run.outcome, Outcome::Complete);
+            assert_eq!(run.nodes, seq.nodes);
         }
     }
 
-    #[test]
-    fn collect_budgeted_is_jobs_invariant_under_caps() {
-        let p = generate::ring(4);
-        let t = generate::grid(4, 4);
-        let finder = MonomorphismFinder::new(&p, &t).limit(5);
-        for cap in [0u64, 1, 3, 17, 100, 1_000, 1_000_000] {
-            let mut reference: Option<(Vec<Vec<NodeId>>, Outcome, u64, u64)> = None;
-            for jobs in [1usize, 2, 4, 8] {
-                let mut budget = Budget::max_nodes(cap);
-                let opts = ParallelOptions {
-                    jobs,
-                    root_orbits: None,
-                };
-                let (sols, run) = finder.collect_budgeted(&mut budget, &opts);
-                let snapshot = (sols, run.outcome, run.nodes, budget.nodes_visited());
-                match &reference {
-                    None => reference = Some(snapshot),
-                    Some(r) => assert_eq!(*r, snapshot, "cap {cap} jobs {jobs} diverged"),
-                }
+    /// Asserts that `limit(k)` collection under an optional node cap
+    /// matches a sequential visitor that breaks at the k-th solution — same
+    /// prefix of the full enumeration, same outcome, same node charge — and
+    /// returns what collection produced.
+    fn assert_collect_matches_break(
+        p: &Graph,
+        t: &Graph,
+        k: usize,
+        cap: Option<u64>,
+    ) -> (Vec<Vec<NodeId>>, Outcome) {
+        let mut seq_budget = Budget::new(cap, None);
+        let mut seen = Vec::new();
+        let seq = MonomorphismFinder::new(p, t).for_each_budgeted(&mut seq_budget, &mut |m| {
+            seen.push(m.to_vec());
+            if seen.len() >= k {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
+        });
+        let mut budget = Budget::new(cap, None);
+        let finder = MonomorphismFinder::new(p, t).limit(k);
+        let (sols, run) = finder.collect_budgeted(&mut budget, None);
+        assert_eq!(sols, seen, "k {k} cap {cap:?}");
+        assert_eq!(sols, MonomorphismFinder::new(p, t).find_all()[..sols.len()]);
+        assert_eq!(run.outcome, seq.outcome, "k {k} cap {cap:?}");
+        assert_eq!(run.nodes, seq.nodes, "k {k} cap {cap:?}");
+        assert_eq!(budget.nodes_visited(), seq_budget.nodes_visited());
+        assert_eq!(budget.is_exhausted(), seq_budget.is_exhausted());
+        (sols, run.outcome)
+    }
+
+    #[test]
+    fn collect_budgeted_matches_for_each_under_node_caps() {
+        // Whatever node the cap lands on — before the first solution,
+        // between solutions, after the limit — collection trips (or
+        // completes) at exactly the node the sequential visitor does.
+        let (p, t) = (generate::ring(4), generate::grid(4, 4));
+        for cap in [0u64, 1, 3, 17, 100, 1_000, 1_000_000] {
+            assert_collect_matches_break(&p, &t, 5, Some(cap));
         }
     }
 
@@ -1485,36 +1053,12 @@ mod tests {
     fn collect_budgeted_limit_matches_sequential_break() {
         // Capping at k must reproduce the sequential break: same prefix,
         // same node charge at the k-th emission.
-        let p = generate::chain(3);
-        let t = generate::grid(3, 3);
+        let (p, t) = (generate::chain(3), generate::grid(3, 3));
+        let total = MonomorphismFinder::new(&p, &t).count();
         for k in [1usize, 2, 5, 11] {
-            let finder = MonomorphismFinder::new(&p, &t).limit(k);
-            let all = MonomorphismFinder::new(&p, &t).find_all();
-            let mut seq_budget = Budget::unlimited();
-            let mut seen = 0usize;
-            MonomorphismFinder::new(&p, &t).for_each_budgeted(&mut seq_budget, &mut |_| {
-                seen += 1;
-                if seen >= k {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            });
-            for jobs in [1usize, 4] {
-                let mut budget = Budget::unlimited();
-                let opts = ParallelOptions {
-                    jobs,
-                    root_orbits: None,
-                };
-                let (sols, run) = finder.collect_budgeted(&mut budget, &opts);
-                assert_eq!(sols, all[..k.min(all.len())]);
-                assert_eq!(run.outcome, Outcome::Complete);
-                assert_eq!(
-                    budget.nodes_visited(),
-                    seq_budget.nodes_visited(),
-                    "k {k} jobs {jobs} stopped at a different point"
-                );
-            }
+            let (sols, outcome) = assert_collect_matches_break(&p, &t, k, None);
+            assert_eq!(sols.len(), k.min(total));
+            assert_eq!(outcome, Outcome::Complete);
         }
     }
 
@@ -1530,14 +1074,13 @@ mod tests {
         assert!(auto.complete);
         let finder = MonomorphismFinder::new(&p, &t);
         let mut budget = Budget::unlimited();
-        let opts = ParallelOptions {
-            jobs: 1,
-            root_orbits: Some(&auto.orbits),
-        };
-        let (pruned, run) = finder.collect_budgeted(&mut budget, &opts);
+        let (pruned, run) = finder.collect_budgeted(&mut budget, Some(&auto.orbits));
         assert_eq!(run.outcome, Outcome::Complete);
         // One root (node 0), two orientations from it.
         assert_eq!(pruned.len(), 2);
+        // The depth-0 visit, root 0, and its two leaves: pruned roots
+        // cost nothing.
+        assert_eq!(run.nodes, 4);
         for m in &pruned {
             assert!(is_monomorphism(&p, &t, m));
         }
@@ -1557,11 +1100,8 @@ mod tests {
         let auto = canonical::automorphisms(&t);
         let all = MonomorphismFinder::new(&p, &t).find_all();
         let mut budget = Budget::unlimited();
-        let opts = ParallelOptions {
-            jobs: 2,
-            root_orbits: Some(&auto.orbits),
-        };
-        let (sols, _) = MonomorphismFinder::new(&p, &t).collect_budgeted(&mut budget, &opts);
+        let (sols, _) =
+            MonomorphismFinder::new(&p, &t).collect_budgeted(&mut budget, Some(&auto.orbits));
         assert_eq!(sols, all);
     }
 

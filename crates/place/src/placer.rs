@@ -47,11 +47,6 @@ pub struct PlacerConfig {
     pub budget: SearchBudget,
     /// Annealing knobs for the heuristic strategies.
     pub anneal: AnnealConfig,
-    /// Worker threads for the exact search (VF2 root subtrees and
-    /// candidate scoring). `1` (the default) runs sequentially; `0`
-    /// uses the machine's available parallelism. Results are
-    /// bit-identical across worker counts for node-budgeted searches.
-    pub search_jobs: usize,
 }
 
 impl Default for PlacerConfig {
@@ -67,7 +62,6 @@ impl Default for PlacerConfig {
             strategy: Strategy::default(),
             budget: SearchBudget::unlimited(),
             anneal: AnnealConfig::default(),
-            search_jobs: 1,
         }
     }
 }
@@ -127,14 +121,6 @@ impl PlacerConfig {
     #[must_use]
     pub fn budget(mut self, budget: SearchBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Sets the exact-search worker count (`0` auto-detects the
-    /// machine's available parallelism, `1` runs sequentially).
-    #[must_use]
-    pub fn search_jobs(mut self, jobs: usize) -> Self {
-        self.search_jobs = jobs;
         self
     }
 }
@@ -364,7 +350,7 @@ impl<'e> Placer<'e> {
         // Fork arena: a scratch engine reset per scoring call instead of
         // cloning a fresh CostEngine (times/last-pair/runs buffers) for
         // every fine-tuning probe and commit (candidate selection keeps
-        // its own forks — per worker, under `search_jobs`).
+        // its own forks).
         let mut fork = CostEngine::new(self.env, self.config.cost_model);
         let mut schedule = Schedule::new();
         let mut stages: Vec<Stage> = Vec::new();
@@ -377,7 +363,6 @@ impl<'e> Placer<'e> {
         // qubits relative to the previous placement, which changes when
         // workspace i commits — so the sets cannot be reused verbatim.
         // Each enumeration charges the budget meter for the work it does.
-        let jobs = effective_jobs(self.config.search_jobs);
         for (wi, ws) in workspaces.iter().enumerate() {
             // Orbit pruning applies to the first stage only: with no
             // previous placement, candidates related by a device
@@ -386,12 +371,12 @@ impl<'e> Placer<'e> {
             // are scored relative to a *fixed* current candidate) have the
             // symmetry broken by the incumbent placement.
             let search = SearchOptions {
-                jobs,
                 root_orbits: if previous.is_none() {
                     self.symmetry.as_deref()
                 } else {
                     None
                 },
+                ..SearchOptions::default()
             };
             let candidates = candidate_placements_searched(
                 &ws.interaction,
@@ -417,10 +402,7 @@ impl<'e> Placer<'e> {
                         previous.as_ref(),
                         self.config.max_candidates,
                         meter,
-                        &SearchOptions {
-                            jobs,
-                            root_orbits: None,
-                        },
+                        &SearchOptions::default(),
                     )
                 })
             } else {
@@ -436,7 +418,7 @@ impl<'e> Placer<'e> {
             // plus one per lookahead continuation, exactly what the
             // un-pruned sweep below would cost — so budget exhaustion is
             // deterministic regardless of how the bound-and-prune
-            // evaluation actually unfolds (and of the worker count).
+            // evaluation actually unfolds.
             let la_len = lookahead_set.as_ref().map_or(0, Vec::len) as u64;
             let per_candidate = 1 + la_len;
             let full_charge = per_candidate.saturating_mul(candidates.len() as u64);
@@ -459,7 +441,6 @@ impl<'e> Placer<'e> {
                 &candidates,
                 ws,
                 lookahead,
-                jobs,
                 meter,
             )?;
             let mut chosen = candidates[best_idx].clone();
@@ -552,15 +533,13 @@ impl<'e> Placer<'e> {
     /// Picks the stage winner: the candidate minimizing the (lookahead)
     /// metric, ties broken by enumeration index — exactly the candidate
     /// the plain left-to-right sweep would pick, but found via a
-    /// best-first branch-and-bound and, with `jobs > 1`, scored across
-    /// worker threads. The bound-and-prune rules only ever skip
-    /// candidates that provably cannot win (strict inequality against an
-    /// incumbent metric that is itself exact), so the winner is
-    /// bit-identical across worker counts and pruning order.
+    /// best-first branch-and-bound. The bound-and-prune rules only ever
+    /// skip candidates that provably cannot win (strict inequality
+    /// against an incumbent metric that is itself exact), so the winner
+    /// does not depend on the pruning order.
     ///
     /// The budget for this sweep was charged up front by the caller; the
     /// meter is only polled here for its wall-clock deadline.
-    #[allow(clippy::too_many_arguments)]
     fn select_candidate(
         &self,
         engine: &CostEngine<'e>,
@@ -568,7 +547,6 @@ impl<'e> Placer<'e> {
         candidates: &[Placement],
         ws: &Workspace,
         lookahead: Option<(&[Placement], &Workspace)>,
-        jobs: usize,
         meter: &mut vf2::Budget,
     ) -> Result<usize> {
         // Per-continuation gate floors: what the next workspace's gates
@@ -659,97 +637,32 @@ impl<'e> Placer<'e> {
         // bounds exceed the incumbent metric the rest of the (sorted)
         // order can be dropped wholesale.
         let mut best: Option<(f64, usize)> = None;
-        if jobs <= 1 || order.len() <= 1 {
-            let mut fork = CostEngine::new(self.env, self.config.cost_model);
-            let mut fork2 = CostEngine::new(self.env, self.config.cost_model);
-            for &(bound, ci) in &order {
-                if !meter.consume(0) {
-                    return Err(budget_error(meter));
-                }
-                if best
-                    .as_ref()
-                    .is_some_and(|&(bm, _)| bound.total_cmp(&bm).is_gt())
-                {
-                    break; // sorted by bound: nothing later can win
-                }
-                let Some(metric) = self.candidate_metric(
-                    engine,
-                    previous,
-                    &candidates[ci],
-                    ws,
-                    la,
-                    best.map(|(bm, _)| bm),
-                    &mut fork,
-                    &mut fork2,
-                ) else {
-                    continue;
-                };
-                if best.is_none_or(|(bm, bi)| metric.total_cmp(&bm).then(ci.cmp(&bi)).is_lt()) {
-                    best = Some((metric, ci));
-                }
-            }
-        } else {
-            use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-            let cursor = AtomicUsize::new(0);
-            // Shared incumbent as raw bits: for non-negative floats the
-            // IEEE-754 bit patterns order like the values, so `fetch_min`
-            // on the bits is `fetch_min` on the metrics.
-            let shared = AtomicU64::new(f64::INFINITY.to_bits());
-            let results: Vec<std::sync::Mutex<Option<f64>>> = (0..order.len())
-                .map(|_| std::sync::Mutex::new(None))
-                .collect();
-            let deadline = meter.deadline_instant();
-            let order_ref = &order;
-            let results_ref = &results;
-            std::thread::scope(|scope| {
-                for _ in 0..jobs.min(order.len()) {
-                    scope.spawn(|| {
-                        let mut fork = CostEngine::new(self.env, self.config.cost_model);
-                        let mut fork2 = CostEngine::new(self.env, self.config.cost_model);
-                        loop {
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            if slot >= order_ref.len() {
-                                break;
-                            }
-                            if deadline.is_some_and(|at| std::time::Instant::now() >= at) {
-                                break;
-                            }
-                            let (bound, ci) = order_ref[slot];
-                            // A stale incumbent is only ever too *large*,
-                            // which makes this skip conservative: anything
-                            // skipped loses against the final best too.
-                            let bm = f64::from_bits(shared.load(Ordering::Relaxed));
-                            if bound.total_cmp(&bm).is_gt() {
-                                continue;
-                            }
-                            if let Some(metric) = self.candidate_metric(
-                                engine,
-                                previous,
-                                &candidates[ci],
-                                ws,
-                                la,
-                                bm.is_finite().then_some(bm),
-                                &mut fork,
-                                &mut fork2,
-                            ) {
-                                shared.fetch_min(metric.to_bits(), Ordering::Relaxed);
-                                if let Ok(mut slot_result) = results_ref[slot].lock() {
-                                    *slot_result = Some(metric);
-                                }
-                            }
-                        }
-                    });
-                }
-            });
+        let mut fork = CostEngine::new(self.env, self.config.cost_model);
+        let mut fork2 = CostEngine::new(self.env, self.config.cost_model);
+        for &(bound, ci) in &order {
             if !meter.consume(0) {
                 return Err(budget_error(meter));
             }
-            for (slot, &(_, ci)) in order.iter().enumerate() {
-                let metric = results[slot].lock().ok().and_then(|r| *r);
-                let Some(metric) = metric else { continue };
-                if best.is_none_or(|(bm, bi)| metric.total_cmp(&bm).then(ci.cmp(&bi)).is_lt()) {
-                    best = Some((metric, ci));
-                }
+            if best
+                .as_ref()
+                .is_some_and(|&(bm, _)| bound.total_cmp(&bm).is_gt())
+            {
+                break; // sorted by bound: nothing later can win
+            }
+            let Some(metric) = self.candidate_metric(
+                engine,
+                previous,
+                &candidates[ci],
+                ws,
+                la,
+                best.map(|(bm, _)| bm),
+                &mut fork,
+                &mut fork2,
+            ) else {
+                continue;
+            };
+            if best.is_none_or(|(bm, bi)| metric.total_cmp(&bm).then(ci.cmp(&bi)).is_lt()) {
+                best = Some((metric, ci));
             }
         }
         best.map(|(_, ci)| ci).ok_or_else(stuck_err)
@@ -931,16 +844,6 @@ impl<'e> Placer<'e> {
             lb = lb.max(chain + gate_floor);
         }
         lb
-    }
-}
-
-/// Resolves the configured exact-search worker count (`0` = the
-/// machine's available parallelism).
-fn effective_jobs(configured: usize) -> usize {
-    if configured == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        configured
     }
 }
 

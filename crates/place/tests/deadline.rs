@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use qcp_circuit::qasm;
 use qcp_env::topologies::{Delays, TopologySpec};
 use qcp_graph::generate;
-use qcp_graph::vf2::{Budget, MonomorphismFinder, DEADLINE_STRIDE};
+use qcp_graph::vf2::{Budget, MonomorphismFinder, Outcome, DEADLINE_STRIDE};
 use qcp_place::{PlaceError, Placer, PlacerConfig, SearchBudget, Strategy};
 
 /// Generous scheduler-noise allowance on top of the deadline. The kernel
@@ -69,6 +69,35 @@ fn kernel_overshoot_is_bounded_by_one_poll_stride() {
             run.nodes
         );
     }
+}
+
+#[test]
+fn collection_polls_the_deadline_on_the_meter_not_per_root() {
+    // chain(6) into a 64×64 grid: about 410 nodes under each of the 4096
+    // roots, 1.68M in all. A poll counted per root subtree never reaches
+    // a stride here, so such a search runs to completion however tight
+    // its deadline. Counted on the meter, it fires every stride.
+    let pattern = generate::chain(6);
+    let target = generate::grid(64, 64);
+    let finder = MonomorphismFinder::new(&pattern, &target);
+    let mut unlimited = Budget::unlimited();
+    let full = finder.for_each_budgeted(&mut unlimited, &mut |_| ControlFlow::Continue(()));
+    assert_eq!(full.outcome, Outcome::Complete);
+
+    let mut budget = Budget::new(None, Some(Instant::now() + Duration::from_millis(1)));
+    let (_, run) = finder.collect_budgeted(&mut budget, None);
+    assert_eq!(run.outcome, Outcome::BudgetExhausted);
+    assert!(
+        run.nodes < full.nodes,
+        "a 1 ms deadline let the search visit {} of {} nodes",
+        run.nodes,
+        full.nodes
+    );
+    assert!(
+        run.nodes.is_multiple_of(DEADLINE_STRIDE),
+        "the deadline trips on a poll, every {DEADLINE_STRIDE} metered nodes (got {})",
+        run.nodes
+    );
 }
 
 #[test]

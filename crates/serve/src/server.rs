@@ -733,7 +733,8 @@ fn resolve_env(spec: &str, coupling: f64) -> Result<Environment, String> {
 }
 
 /// Resolves the circuit from a library name or the request body
-/// (OpenQASM 2.0 if it declares itself, the text format otherwise).
+/// (OpenQASM 2.0 if it declares itself after any blank or `//` comment
+/// lines, the text format otherwise).
 fn resolve_circuit(
     params: &PlaceParams,
     body: &[u8],
@@ -757,7 +758,12 @@ fn resolve_circuit(
     }
     let text = std::str::from_utf8(body)
         .map_err(|_| (ErrorKind::Parse, "body is not valid UTF-8".to_string()))?;
-    if text.trim_start().starts_with("OPENQASM") {
+    let is_qasm = text
+        .lines()
+        .map(str::trim)
+        .find(|line| !line.is_empty() && !line.starts_with("//"))
+        .is_some_and(|line| line.starts_with("OPENQASM"));
+    if is_qasm {
         let parsed =
             qcp_circuit::qasm::parse(text).map_err(|e| (ErrorKind::Parse, e.to_string()))?;
         Ok((parsed.circuit, parsed.warnings.len()))

@@ -104,6 +104,43 @@ fn malformed_and_truncated_qasm_are_parse_errors_with_positions() {
 }
 
 #[test]
+fn corpus_files_posted_verbatim_place() {
+    // Every committed corpus file opens with `//` comment lines before
+    // its `OPENQASM 2.0;` header; the body must still be read as QASM.
+    let server = chaos_server(ServeConfig::default().workers(2));
+    let addr = server.local_addr();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/qasm");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("qasm corpus directory")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "qasm"))
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 10, "expected the 10-file corpus at {dir}");
+    for path in &paths {
+        let text = std::fs::read_to_string(path).expect("read corpus file");
+        assert!(
+            text.starts_with("//"),
+            "{} lost its header comment",
+            path.display()
+        );
+        let reply = chaos::post(
+            addr,
+            "/place?env=grid:4x4&strategy=hybrid&budget_nodes=20000",
+            &[],
+            &text,
+        )
+        .expect("post");
+        assert_eq!(reply.status, 200, "{}: {}", path.display(), reply.body);
+        assert!(reply.body.contains("\"resolution\""), "{}", reply.body);
+    }
+
+    server.drain();
+    let stats = server.join();
+    assert_eq!(stats.served_ok, paths.len() as u64);
+}
+
+#[test]
 fn oversized_payloads_are_rejected_before_the_body_is_read() {
     let server = chaos_server(ServeConfig::default().workers(1).max_body_bytes(1024));
     let addr = server.local_addr();

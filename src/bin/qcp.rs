@@ -155,9 +155,6 @@ fn run() -> ExitCode {
                  \x20 --strategy <s>          exact | anneal | hybrid (default exact)\n\
                  \x20 --budget-ms <ms>        wall-clock search budget per request\n\
                  \x20 --budget-nodes <n>      deterministic search-node budget\n\
-                 \x20 --search-jobs <n>       parallel exact-search workers (default 1;\n\
-                 \x20                         0 = all cores; results are worker-count\n\
-                 \x20                         independent)\n\
                  \x20 --gantt                 print the timed pulse chart\n\
                  \x20 --exposure              print idle/coupling exposure\n\
                  \x20 --verify                independently certify the outcome\n\
@@ -169,7 +166,7 @@ fn run() -> ExitCode {
                  \x20 --threshold <units>     fixed threshold (default: per-env auto)\n\
                  \x20 --coupling <units>      coupling delay for topology specs\n\
                  \x20 --k/--no-lookahead/--fine-tune/--commutation as for place\n\
-                 \x20 --strategy/--budget-ms/--budget-nodes/--search-jobs as for place\n\
+                 \x20 --strategy/--budget-ms/--budget-nodes as for place\n\
                  \x20 --verify                certify every successful outcome\n\
                  \x20 --no-dedup              disable cross-batch placement dedup\n\
                  lint options:\n\
@@ -218,7 +215,6 @@ fn run_place(args: &[String]) -> Result<(), CliError> {
     let mut commutation = false;
     let mut strategy = Strategy::Exact;
     let mut budget = SearchBudget::unlimited();
-    let mut search_jobs = 1usize;
     let mut gantt = false;
     let mut exposure = false;
     let mut verify = false;
@@ -263,11 +259,6 @@ fn run_place(args: &[String]) -> Result<(), CliError> {
                         .map_err(|e| format!("bad node budget: {e}"))?,
                 );
             }
-            "--search-jobs" => {
-                search_jobs = value("--search-jobs")?
-                    .parse()
-                    .map_err(|e| format!("bad search-jobs count: {e}"))?;
-            }
             "--gantt" => gantt = true,
             "--exposure" => exposure = true,
             "--verify" => verify = true,
@@ -303,8 +294,7 @@ fn run_place(args: &[String]) -> Result<(), CliError> {
         .fine_tuning(fine_tune)
         .commutation_aware(commutation)
         .strategy(strategy)
-        .budget(budget)
-        .search_jobs(search_jobs);
+        .budget(budget);
     // The one-shot CLI runs through the same unified request executor as
     // batch and the serve daemon (qcp_place::request), so keying,
     // verification, and error taxonomy can never drift between surfaces.
@@ -404,7 +394,6 @@ fn run_batch(args: &[String]) -> Result<(), CliError> {
     let mut commutation = false;
     let mut strategy = Strategy::Exact;
     let mut budget = SearchBudget::unlimited();
-    let mut search_jobs = 1usize;
     let mut verify = false;
     let mut dedup = true;
 
@@ -454,11 +443,6 @@ fn run_batch(args: &[String]) -> Result<(), CliError> {
                         .map_err(|e| format!("bad node budget: {e}"))?,
                 );
             }
-            "--search-jobs" => {
-                search_jobs = value("--search-jobs")?
-                    .parse()
-                    .map_err(|e| format!("bad search-jobs count: {e}"))?;
-            }
             "--verify" => verify = true,
             "--no-dedup" => dedup = false,
             other => return Err(format!("unknown option `{other}`").into()),
@@ -495,8 +479,7 @@ fn run_batch(args: &[String]) -> Result<(), CliError> {
         .fine_tuning(fine_tune)
         .commutation_aware(commutation)
         .strategy(strategy)
-        .budget(budget)
-        .search_jobs(search_jobs);
+        .budget(budget);
     let batch = match threshold {
         Some(t) => {
             let config = PlacerConfig {
