@@ -1,21 +1,21 @@
 //! Machine-readable performance baseline (`perf` binary).
 //!
 //! Times the hot-path suites (subgraph monomorphism, SWAP routing,
-//! whole-circuit placement), the Table 4 chain workloads end-to-end, the
-//! 32-request topology-zoo batch at 1 and 4 workers, and the OpenQASM
-//! ingestion path (parse+lower, and a full `--qasm`-style parse-and-place
-//! round), and renders the
-//! medians as JSON (`BENCH_PLACE.json` at the workspace root). Future
-//! PRs re-run the binary with `--baseline` pointing at the committed
-//! file to get per-case speedup factors, giving the repo a perf
-//! trajectory instead of one-off criterion printouts.
+//! whole-circuit placement on the paper's Table 2 and 3 workloads, with
+//! Table 2's exhaustive optimum as the small-instance ground truth), the
+//! Table 4 chain workloads end-to-end, the 32-request topology-zoo batch
+//! at 1 and 4 workers, and the OpenQASM ingestion path (parse+lower, and
+//! a full `--qasm`-style parse-and-place round), and renders the medians
+//! as JSON (`BENCH_PLACE.json` at the workspace root). This is the
+//! workspace's one micro-benchmark harness: re-running the binary with
+//! `--baseline` pointing at the committed file gives per-case speedup
+//! factors, so the repo keeps a perf trajectory.
 //!
-//! Measurement mirrors the vendored criterion shim: calibrate an
-//! iteration count against a per-sample time budget, take a handful of
-//! samples, report the median nanoseconds per iteration. `--quick` is the
-//! CI smoke mode: smaller budgets, fewer samples, the 256-qubit chain
-//! replaced by its 64-qubit sibling, and the 32-request batch zoo
-//! shrunk to 8 requests.
+//! Measurement: calibrate an iteration count against a per-sample time
+//! budget, take a handful of samples, report the median nanoseconds per
+//! iteration. `--quick` is the CI smoke mode: smaller budgets, fewer
+//! samples, the 256-qubit chain replaced by its 64-qubit sibling, and
+//! the 32-request batch zoo shrunk to 8 requests.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,6 +27,8 @@ use qcp_env::topologies::{self, Delays};
 use qcp_env::{molecules, Threshold};
 use qcp_graph::vf2::MonomorphismFinder;
 use qcp_graph::{generate, Graph};
+use qcp_place::baselines::exhaustive_placement;
+use qcp_place::cost::CostModel;
 use qcp_place::router::{route_permutation, RouterConfig};
 use qcp_place::{
     execute, execute_with, BatchPlacer, CanonicalCircuit, PlaceRequest, PlacementCache, Placer,
@@ -169,40 +171,62 @@ pub fn run_suites(quick: bool) -> Vec<PerfCase> {
         name: &'static str,
         env: qcp_env::Environment,
         circuit: qcp_circuit::Circuit,
-        threshold: Threshold,
+        config: PlacerConfig,
     }
+    let connected = |env: &qcp_env::Environment| {
+        PlacerConfig::with_threshold(env.connectivity_threshold().expect("connected"))
+    };
     let place_cases = [
         PlaceCase {
             name: "place/qec3-acetyl",
             env: molecules::acetyl_chloride(),
             circuit: library::qec3_encoder(),
-            threshold: Threshold::new(100.0),
+            config: PlacerConfig::with_threshold(Threshold::new(100.0)),
         },
         PlaceCase {
             name: "place/qec5-crotonic",
             env: molecules::trans_crotonic_acid(),
             circuit: library::qec5_benchmark(),
-            threshold: molecules::trans_crotonic_acid()
-                .connectivity_threshold()
-                .expect("connected"),
+            config: connected(&molecules::trans_crotonic_acid()),
         },
         PlaceCase {
             name: "place/phaseest-crotonic-t200",
             env: molecules::trans_crotonic_acid(),
             circuit: library::phase_estimation(),
-            threshold: Threshold::new(200.0),
+            config: PlacerConfig::with_threshold(Threshold::new(200.0)),
         },
         PlaceCase {
             name: "place/qft6-histidine-t500",
             env: molecules::histidine(),
             circuit: library::qft(6),
-            threshold: Threshold::new(500.0),
+            config: PlacerConfig::with_threshold(Threshold::new(500.0)),
+        },
+        // Table 2 row 3: the cat state on histidine's 12 nuclei.
+        PlaceCase {
+            name: "place/cat10-histidine",
+            env: molecules::histidine(),
+            circuit: library::pseudo_cat(10),
+            config: connected(&molecules::histidine())
+                .candidates(50)
+                .lookahead(false),
         },
     ];
     for pc in &place_cases {
-        let placer = Placer::new(&pc.env, PlacerConfig::with_threshold(pc.threshold));
+        let placer = Placer::new(&pc.env, pc.config.clone());
         case("place", pc.name, &mut || {
             black_box(placer.place(&pc.circuit).expect("workloads place"));
+        });
+    }
+    // Table 2's exhaustive optimum for qec3 on acetyl chloride (all 3!
+    // assignments), the ground truth the heuristic is checked against.
+    {
+        let acetyl = molecules::acetyl_chloride();
+        let qec3 = library::qec3_encoder();
+        case("place", "place/exhaustive-qec3-acetyl", &mut || {
+            black_box(
+                exhaustive_placement(&qec3, &acetyl, &CostModel::overlapped(), 1e4)
+                    .expect("3! assignments fit the limit"),
+            );
         });
     }
 

@@ -196,7 +196,7 @@ pub fn gnp(n: usize, p: f64, rng: &mut impl Rng) -> Graph {
 }
 
 /// A uniformly random permutation of `0..n`, returned as the image array
-/// (`perm[i]` is where `i` maps). Convenience for router tests/benches.
+/// (`perm[i]` is where `i` maps). Convenience for router tests and perf cases.
 pub fn random_permutation(n: usize, rng: &mut impl Rng) -> Vec<usize> {
     let mut p: Vec<usize> = (0..n).collect();
     p.shuffle(rng);

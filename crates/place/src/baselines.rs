@@ -1,5 +1,5 @@
 //! Baseline placement strategies: exhaustive search, random assignment,
-//! simulated annealing, and whole-circuit placement.
+//! and whole-circuit placement.
 //!
 //! These provide the reference points used throughout the paper's
 //! evaluation: Table 2's "search space size" column counts what exhaustive
@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use qcp_circuit::{Circuit, Time};
 use qcp_env::{Environment, PhysicalQubit, Threshold};
@@ -121,54 +121,6 @@ pub fn random_placement(n: usize, env: &Environment, seed: u64) -> Result<Placem
     )
 }
 
-/// Simulated-annealing placement: random restarts of
-/// move-one/swap-two neighbourhood moves with a geometric cooling
-/// schedule. A stronger generic baseline than hill climbing for instances
-/// too big for exhaustive search.
-///
-/// # Errors
-///
-/// Returns [`PlaceError::CircuitTooLarge`] if the circuit does not fit.
-pub fn annealing_placement(
-    circuit: &Circuit,
-    env: &Environment,
-    model: &CostModel,
-    iterations: usize,
-    seed: u64,
-) -> Result<(Placement, Time)> {
-    let n = circuit.qubit_count();
-    let m = env.qubit_count();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut current = random_placement(n, env, seed)?;
-    let mut cur_cost = placed_runtime(circuit, env, &current, model).units();
-    let mut best = current.clone();
-    let mut best_cost = cur_cost;
-
-    let t0 = (cur_cost / 10.0).max(1.0);
-    for i in 0..iterations {
-        let temp = t0 * 0.995f64.powi(i as i32);
-        let q = qcp_circuit::Qubit::new(rng.gen_range(0..n));
-        let v = PhysicalQubit::new(rng.gen_range(0..m));
-        let cand = current.with_move(q, v);
-        let cand_cost = placed_runtime(circuit, env, &cand, model).units();
-        let accept = cand_cost <= cur_cost
-            || rng.gen_bool(
-                ((cur_cost - cand_cost) / temp.max(1e-9))
-                    .exp()
-                    .clamp(0.0, 1.0),
-            );
-        if accept {
-            current = cand;
-            cur_cost = cand_cost;
-            if cur_cost < best_cost {
-                best = current.clone();
-                best_cost = cur_cost;
-            }
-        }
-    }
-    Ok((best, Time::from_units(best_cost)))
-}
-
 /// Places the circuit *as a whole* — no SWAP stages, every interaction
 /// available at its true cost — and reports the best runtime found
 /// (Table 3's last column, "optimal placement when placed without
@@ -268,16 +220,6 @@ mod tests {
         let c = random_placement(5, &env, 4).unwrap();
         // Overwhelmingly likely to differ.
         assert!(!a.same_assignment(&c) || a.same_assignment(&c));
-    }
-
-    #[test]
-    fn annealing_beats_random_start() {
-        let env = molecules::acetyl_chloride();
-        let circuit = library::qec3_encoder();
-        let model = CostModel::overlapped();
-        let (_, t) = annealing_placement(&circuit, &env, &model, 400, 11).unwrap();
-        // The space has only 6 points; annealing must find the optimum.
-        assert_eq!(t.units(), 136.0);
     }
 
     #[test]

@@ -5,16 +5,24 @@
 //! heavy traffic means running many independent placement requests at
 //! once. [`BatchPlacer`] fans a request list out across
 //! `std::thread::scope` workers (work-stealing over an atomic cursor, one
-//! placer and cost-engine arena per in-flight request, no shared mutable
-//! state) and collects per-request [`BatchResult`]s plus an aggregate
-//! [`BatchReport`].
+//! placer and cost-engine arena per in-flight request, the dedup cache
+//! the only shared state) and collects per-request [`BatchResult`]s plus
+//! an aggregate [`BatchReport`].
+//!
+//! Every request runs through the same executor as the CLI and the
+//! `qcp serve` daemon ([`execute_with`]). With dedup on, a batch-scoped
+//! [`PlacementCache`] lets the first request of each
+//! [`PlaceRequest::cache_key`] answer its repeats (see
+//! [`BatchPlacer::dedup`]).
 //!
 //! Results are **deterministic**: the placement pipeline has no data
 //! races to hide (each request is independent and the placer itself is
-//! deterministic), and the report lists results in request order, so the
-//! outcomes are bit-identical whatever the worker count — only the wall
-//! clock changes. [`BatchReport::outcome_fingerprint`] condenses that
-//! guarantee into one comparable hash.
+//! deterministic), repeats are answered in request order after every
+//! first request has been placed, and the report lists results in
+//! request order, so the outcomes are bit-identical whatever the worker
+//! count — only the wall clock changes.
+//! [`BatchReport::outcome_fingerprint`] condenses that guarantee into one
+//! comparable hash.
 //!
 //! Jobs are **panic-isolated**: every placement runs under
 //! `catch_unwind` on its worker, so one poisoned request (a placement
@@ -48,7 +56,6 @@
 //! assert_eq!(report.outcome_fingerprint(), serial.outcome_fingerprint());
 //! ```
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,8 +64,8 @@ use std::time::{Duration, Instant};
 use qcp_circuit::{Circuit, Time};
 use qcp_env::Environment;
 
-use crate::cache::{cache_key, remap_outcome, CanonicalCircuit};
-use crate::request::PlaceRequest;
+use crate::cache::PlacementCache;
+use crate::request::{execute_with, PlaceRequest};
 use crate::strategy::Resolution;
 use crate::{PlaceError, PlacementOutcome, PlacerConfig};
 
@@ -251,14 +258,21 @@ impl BatchPlacer {
     /// Enables or disables cross-batch deduplication (on by default).
     ///
     /// With dedup on, requests sharing a [`PlaceRequest::cache_key`]
-    /// (canonically identical circuit × same environment × same
-    /// configuration) are placed once: the first occurrence is the
-    /// *representative*, and every follower receives the
-    /// representative's outcome rewritten onto its own qubit labels by
-    /// the canonical witness remap. Grouping happens serially before
-    /// any worker starts, so outcomes stay deterministic and
-    /// worker-count independent. [`BatchReport::deduped`] counts the
-    /// requests served by remap.
+    /// (the same circuit up to a qubit relabelling × same environment ×
+    /// same configuration) are placed once. The first request of each
+    /// key is placed and stored in a batch-scoped [`PlacementCache`];
+    /// every later one (a *repeat*) is answered from that cache, in
+    /// request order, with the first request's placement rewritten onto
+    /// its own qubit labels by the canonical witness remap. A repeat of
+    /// a failed first request gets the same error.
+    ///
+    /// An exact repeat therefore gets exactly the answer it would get on
+    /// its own. A relabelled repeat gets the first request's placement on
+    /// its own labels, which can differ from, and be worse or better
+    /// than, placing it fresh: the order in which the search visits
+    /// candidates depends on the qubit labels. Requests whose
+    /// canonicalization was [exhausted](crate::CanonicalCircuit::exhausted)
+    /// are never deduped. [`BatchReport::deduped`] counts the repeats.
     #[must_use]
     pub fn dedup(mut self, dedup: bool) -> Self {
         self.dedup = dedup;
@@ -272,140 +286,93 @@ impl BatchPlacer {
 
     /// Places every request and aggregates the results.
     ///
-    /// With more than one worker, requests are handed out over an atomic
-    /// cursor (work stealing keeps the workers busy even when request
-    /// costs are skewed); each request is placed exactly once, and the
-    /// report lists results in request order regardless of which worker
-    /// finished what when.
+    /// The first request of each dedup key is handed out to the workers
+    /// over an atomic cursor (work stealing keeps the workers busy even
+    /// when request costs are skewed); each is placed exactly once. The
+    /// repeats are then answered in request order from the batch cache,
+    /// and the report lists results in request order regardless of which
+    /// worker finished what when.
     pub fn run(&self) -> BatchReport {
-        let n = self.requests.len();
         let started = Instant::now();
+        let requests: Vec<PlaceRequest<'_>> = self
+            .requests
+            .iter()
+            .map(|r| PlaceRequest::new(&r.circuit, &r.environment).config(r.config.clone()))
+            .collect();
+        let n = requests.len();
 
-        // Cross-batch dedup (serial, before any worker starts): group
-        // requests by the unified cache key; only group representatives
-        // — first occurrence wins — are actually placed.
-        let mut follower_of: Vec<Option<usize>> = vec![None; n];
-        let mut canon: Vec<Option<CanonicalCircuit>> = vec![None; n];
+        // `first_of[i]` is the first request sharing request i's cache
+        // key (i itself for a first request, and for every request when
+        // dedup is off or its canonicalization is exhausted).
+        let mut first_of: Vec<usize> = (0..n).collect();
         if self.dedup {
-            let mut rep_for: HashMap<u128, usize> = HashMap::new();
-            for (i, request) in self.requests.iter().enumerate() {
-                let canonical = CanonicalCircuit::of(&request.circuit);
-                // An exhausted canonicalization is not a sound sharing
-                // key (its witness may be labelling-dependent): place
-                // the request individually, never as a follower or a
-                // representative.
-                if canonical.exhausted {
-                    continue;
-                }
-                let key = cache_key(&canonical, &request.environment, &request.config);
-                canon[i] = Some(canonical);
-                match rep_for.entry(key.as_u128()) {
-                    Entry::Occupied(rep) => follower_of[i] = Some(*rep.get()),
-                    Entry::Vacant(slot) => {
-                        slot.insert(i);
-                    }
+            let mut first_with_key = HashMap::new();
+            for (i, request) in requests.iter().enumerate() {
+                if request.cacheable() {
+                    first_of[i] = *first_with_key.entry(request.cache_key()).or_insert(i);
                 }
             }
         }
-        let deduped = follower_of.iter().filter(|f| f.is_some()).count();
-        let reps: Vec<usize> = (0..n).filter(|&i| follower_of[i].is_none()).collect();
+        let firsts: Vec<usize> = (0..n).filter(|&i| first_of[i] == i).collect();
+        let cache = self.dedup.then(|| PlacementCache::new(firsts.len()));
+        let place = |i: usize| place_one(i, &self.requests[i].label, &requests[i], cache.as_ref());
 
         let jobs = match self.jobs {
             0 => std::thread::available_parallelism().map_or(1, usize::from),
             j => j,
         }
-        .clamp(1, reps.len().max(1));
-
-        let rep_results: Vec<BatchResult> = if jobs == 1 {
-            // Exactly the sequential loop: no spawn overhead for --jobs 1.
-            reps.iter()
-                .map(|&i| place_one((i, &self.requests[i])))
-                .collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..jobs)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut mine = Vec::new();
-                            loop {
-                                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(&i) = reps.get(slot) else {
-                                    break;
-                                };
-                                mine.push(place_one((i, &self.requests[i])));
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                #[allow(clippy::expect_used)]
-                workers
-                    .into_iter()
-                    .flat_map(|w| w.join().expect("batch worker panicked"))
-                    .collect::<Vec<_>>()
-            })
-        };
-
-        // Scatter representative results, then serve every follower by
-        // witness-remapping its representative's outcome — deterministic
-        // and independent of worker scheduling.
-        let mut slots: Vec<Option<BatchResult>> = (0..n).map(|_| None).collect();
-        for result in rep_results {
-            let index = result.index;
-            slots[index] = Some(result);
-        }
-        for i in 0..n {
-            let Some(rep) = follower_of[i] else { continue };
-            let t0 = Instant::now();
-            let outcome = match slots[rep].as_ref().map(|r| &r.outcome) {
-                Some(Ok(outcome)) => {
-                    let stored = canon[rep].as_ref().map(|c| c.order.as_slice());
-                    let requested = canon[i].as_ref().map(|c| c.order.as_slice());
-                    match (stored, requested) {
-                        (Some(stored), Some(requested)) => {
-                            remap_outcome(outcome, stored, requested).ok_or_else(|| {
-                                PlaceError::Internal {
-                                    message: "dedup witness remap failed".to_string(),
-                                }
-                            })
+        .clamp(1, firsts.len().max(1));
+        let mut slots: Vec<Option<BatchResult>> = vec![None; n];
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..jobs)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        while let Some(&i) = firsts.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            mine.push(place(i));
                         }
-                        _ => Err(PlaceError::Internal {
-                            message: "dedup lost a canonical witness".to_string(),
-                        }),
-                    }
+                        mine
+                    })
+                })
+                .collect();
+            for worker in workers {
+                #[allow(clippy::expect_used)]
+                for result in worker.join().expect("batch worker panicked") {
+                    let index = result.index;
+                    slots[index] = Some(result);
                 }
-                Some(Err(e)) => Err(e.clone()),
-                None => Err(PlaceError::Internal {
-                    message: "dedup representative produced no result".to_string(),
-                }),
-            };
-            #[cfg(debug_assertions)]
-            if let Ok(o) = &outcome {
-                // Re-check remapped outcomes exactly like fresh ones, so
-                // a remap bug fails loudly at its origin in debug builds.
-                let placer = crate::Placer::new(
-                    &self.requests[i].environment,
-                    self.requests[i].config.clone(),
-                );
-                crate::strategy::debug_check_outcome(&placer, &self.requests[i].circuit, o);
             }
-            slots[i] = Some(BatchResult {
-                index: i,
-                label: self.requests[i].label.clone(),
-                outcome,
-                elapsed: t0.elapsed(),
-            });
+        });
+
+        // Repeats, in request order: the first request's stored outcome
+        // is a cache hit remapped onto the repeat's labels. Errors are
+        // not cached, so a repeat of a failed first request shares its
+        // error instead of being placed again.
+        for i in 0..n {
+            let first = first_of[i];
+            if first == i {
+                continue;
+            }
+            let result = match slots[first].as_ref().map(|r| &r.outcome) {
+                Some(Err(e)) => BatchResult {
+                    index: i,
+                    label: self.requests[i].label.clone(),
+                    outcome: Err(e.clone()),
+                    elapsed: Duration::ZERO,
+                },
+                _ => place(i),
+            };
+            slots[i] = Some(result);
         }
-        let mut results: Vec<BatchResult> = slots.into_iter().flatten().collect();
+        let results: Vec<BatchResult> = slots.into_iter().flatten().collect();
         debug_assert!(results.iter().enumerate().all(|(i, r)| r.index == i));
-        results.shrink_to_fit();
 
         BatchReport {
             results,
             wall_time: started.elapsed(),
             jobs,
-            deduped,
+            deduped: n - firsts.len(),
         }
     }
 }
@@ -416,46 +383,49 @@ impl BatchPlacer {
 #[cfg(test)]
 static CHAOS_POISONED_LABEL: std::sync::Mutex<Option<String>> = std::sync::Mutex::new(None);
 
-fn place_one((index, request): (usize, &BatchRequest)) -> BatchResult {
+fn place_one(
+    index: usize,
+    label: &str,
+    request: &PlaceRequest<'_>,
+    cache: Option<&PlacementCache>,
+) -> BatchResult {
     let t0 = Instant::now();
     // Panic isolation: a poisoned request (a placement bug, a tripped
     // debug assertion, an adversarial circuit that finds a hole) must
     // cost exactly one result, not the whole batch. The unwind is caught
-    // at the job boundary and surfaced as `PlaceError::Internal`; no
-    // shared state crosses this boundary (each job owns its placer and
-    // cost arenas), so the catch cannot observe broken invariants of its
-    // siblings.
+    // at the job boundary and surfaced as `PlaceError::Internal`; the
+    // only state shared across this boundary is the batch cache, whose
+    // lock recovers from poisoning and whose entries are written whole.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         #[cfg(test)]
         {
             let poisoned = CHAOS_POISONED_LABEL
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if poisoned.as_deref() == Some(request.label.as_str()) {
-                panic!("chaos: poisoned batch request `{}`", request.label);
+            if poisoned.as_deref() == Some(label) {
+                panic!("chaos: poisoned batch request `{label}`");
             }
         }
         // The unified executor — the same entry point the CLI and the
-        // serve daemon use; nothing is shared between in-flight
-        // placements (each executes its own placer and cost arenas).
-        let place_request = PlaceRequest::new(&request.circuit, &request.environment)
-            .config(request.config.clone());
-        let outcome = crate::request::execute(&place_request).map(|report| report.outcome);
-        // Debug builds re-check every successful outcome before it leaves
-        // the worker, so a broken invariant fails this *request* loudly
-        // and close to its origin instead of surfacing in aggregated
-        // reports (the unwind is converted to a per-job Internal error).
+        // serve daemon use; in-flight placements share only the cache
+        // (each executes its own placer and cost arenas).
+        let outcome = execute_with(request, cache, None).map(|report| report.outcome);
+        // Debug builds re-check every successful outcome, placed or
+        // remapped, before it leaves the job, so a broken invariant
+        // fails this *request* loudly and close to its origin instead of
+        // surfacing in aggregated reports (the unwind is converted to a
+        // per-job Internal error).
         #[cfg(debug_assertions)]
         if let Ok(o) = &outcome {
-            let placer = crate::Placer::new(&request.environment, request.config.clone());
-            crate::strategy::debug_check_outcome(&placer, &request.circuit, o);
+            let placer = crate::Placer::new(request.environment(), request.placer_config().clone());
+            crate::strategy::debug_check_outcome(&placer, request.circuit(), o);
         }
         outcome
     }))
     .unwrap_or_else(|payload| Err(PlaceError::from_panic(payload.as_ref())));
     BatchResult {
         index,
-        label: request.label.clone(),
+        label: label.to_string(),
         outcome,
         elapsed: t0.elapsed(),
     }
@@ -472,8 +442,8 @@ pub struct BatchReport {
     pub wall_time: Duration,
     /// Number of workers actually used.
     pub jobs: usize,
-    /// Requests served by witness remap from a canonically identical
-    /// representative instead of being placed (0 when dedup is off).
+    /// Repeats answered from the first request of their dedup key
+    /// instead of being placed (0 when dedup is off).
     pub deduped: usize,
 }
 
@@ -659,6 +629,24 @@ mod tests {
         (circuits, envs)
     }
 
+    /// `circuit` with its qubit labels reversed.
+    fn reversed(circuit: &Circuit) -> Circuit {
+        let n = circuit.qubit_count();
+        circuit.map_qubits(n, |q| qcp_circuit::Qubit::new(n - 1 - q.index()))
+    }
+
+    /// One request per `(label, circuit)`, all on `env` under `config`.
+    fn requests_on<L: Into<String>>(
+        circuits: impl IntoIterator<Item = (L, Circuit)>,
+        env: &Environment,
+        config: &PlacerConfig,
+    ) -> Vec<BatchRequest> {
+        circuits
+            .into_iter()
+            .map(|(label, c)| BatchRequest::new(label, c, env.clone(), config.clone()))
+            .collect()
+    }
+
     #[test]
     fn send_sync_bounds() {
         fn assert_traits<T: Send + Sync>() {}
@@ -769,6 +757,24 @@ mod tests {
         assert!(text.contains("[budget-exhausted]"), "{text}");
     }
 
+    /// Runs `batch` with the request labelled `label` poisoned. The
+    /// seam is one global, so a lock serializes the tests that use it.
+    fn run_poisoned(batch: BatchPlacer, label: &str) -> BatchReport {
+        static SEAM: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _serial = SEAM
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let poison = |label: Option<&str>| {
+            *CHAOS_POISONED_LABEL
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner) = label.map(str::to_string);
+        };
+        poison(Some(label));
+        let report = batch.run();
+        poison(None);
+        report
+    }
+
     #[test]
     fn one_poisoned_request_of_32_still_yields_31_results() {
         // 32 copies of a fast request; poison exactly one by label. The
@@ -789,17 +795,13 @@ mod tests {
                 )
             })
             .collect();
-        *CHAOS_POISONED_LABEL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) =
-            Some("poison-test-17".to_string());
         // Dedup off: the point is that every request runs (and exactly
         // one panics); with dedup on the 32 identical requests would
         // collapse to one placement and the seam would never fire.
-        let report = BatchPlacer::new(requests).jobs(4).dedup(false).run();
-        *CHAOS_POISONED_LABEL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        let report = run_poisoned(
+            BatchPlacer::new(requests).jobs(4).dedup(false),
+            "poison-test-17",
+        );
 
         assert_eq!(report.results.len(), 32);
         assert_eq!(report.succeeded(), 31);
@@ -873,6 +875,89 @@ mod tests {
             b.stages[0].subcircuit.interaction_graph().edge_count(),
             relabelled.interaction_graph().edge_count()
         );
+    }
+
+    #[test]
+    fn poisoned_first_request_hands_its_error_to_its_repeats() {
+        // Under dedup, the first qec3 request panics inside its job; its
+        // exact and relabelled repeats share that Internal error, and
+        // every other request (including qft4's repeat) places.
+        let env = topologies::grid(2, 3, topologies::Delays::default());
+        let config =
+            PlacerConfig::with_threshold(env.connectivity_threshold().expect("grid connects"));
+        let (qec3, qft4) = (library::qec3_encoder(), library::qft(4));
+        let requests = [
+            ("qft4", qft4.clone()),
+            ("qec3-first", qec3.clone()),
+            ("qec3-repeat", qec3.clone()),
+            ("qft4-repeat", qft4),
+            ("qec3-reversed", reversed(&qec3)),
+        ];
+        let batch = BatchPlacer::new(requests_on(requests, &env, &config)).jobs(2);
+        let report = run_poisoned(batch, "qec3-first");
+
+        assert_eq!(report.deduped, 3);
+        let first = report.results[1].outcome.as_ref().err();
+        match first {
+            Some(PlaceError::Internal { message }) => {
+                assert!(message.contains("poisoned batch request"), "{message}");
+            }
+            other => panic!("expected Internal, got {other:?}"),
+        }
+        for repeat in [2, 4] {
+            assert_eq!(report.results[repeat].outcome.as_ref().err(), first);
+        }
+        for placed in [0, 3] {
+            assert!(report.results[placed].outcome.is_ok());
+        }
+    }
+
+    #[test]
+    fn repeats_of_a_failed_first_request_share_its_error() {
+        // qft(6) cannot fit acetyl chloride's 3 nuclei; its reversal is a
+        // repeat and gets the same error without being placed.
+        let qft6 = library::qft(6);
+        let requests = requests_on(
+            [("qft6", qft6.clone()), ("qft6-reversed", reversed(&qft6))],
+            &molecules::acetyl_chloride(),
+            &PlacerConfig::with_threshold(Threshold::new(100.0)),
+        );
+        let report = BatchPlacer::new(requests).run();
+        assert_eq!(report.deduped, 1);
+        for r in &report.results {
+            let too_large = PlaceError::CircuitTooLarge {
+                qubits: 6,
+                nuclei: 3,
+            };
+            assert_eq!(r.outcome.as_ref().err(), Some(&too_large));
+        }
+
+        // An exact search capped at 500 nodes exhausts on qft(5) and on
+        // its reversal. Under dedup the reversal's error text, node count
+        // included, is the first request's.
+        let grid = topologies::grid(3, 3, topologies::Delays::default());
+        let exact =
+            PlacerConfig::with_threshold(grid.connectivity_threshold().expect("grid connects"))
+                .strategy(Strategy::Exact)
+                .budget(SearchBudget::nodes(500));
+        let qft5 = library::qft(5);
+        let requests = requests_on(
+            [("qft5", qft5.clone()), ("qft5-reversed", reversed(&qft5))],
+            &grid,
+            &exact,
+        );
+        let errors = |dedup: bool| -> Vec<String> {
+            let report = BatchPlacer::new(requests.clone()).dedup(dedup).run();
+            let exhausted = |r: &BatchResult| r.outcome.as_ref().expect_err("exhausts").to_string();
+            report.results.iter().map(exhausted).collect()
+        };
+        let (shared, fresh) = (errors(true), errors(false));
+        assert!(shared[0].contains("exhausted its budget"), "{}", shared[0]);
+        assert_eq!(shared[1], shared[0]);
+        // Placed fresh, the reversal trips at another node count, so the
+        // equality above is the shared error, not a coincidence.
+        assert_eq!(fresh[0], shared[0]);
+        assert_ne!(fresh[1], shared[0]);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub fn reduction_instance(h: &Graph) -> (Environment, Circuit) {
 /// assignments that prunes as soon as the partial runtime exceeds zero.
 ///
 /// Exponential in the worst case (the problem is NP-complete); fine for
-/// the instance sizes used in tests and benches.
+/// the instance sizes used in tests, examples and experiments.
 pub fn hamiltonian_via_placement(h: &Graph) -> bool {
     let m = h.node_count();
     if m < 3 {

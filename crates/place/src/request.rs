@@ -12,7 +12,9 @@
 //!   policy — behind a builder-style API.
 //! * [`PlaceRequest::cache_key`] derives the result-cache key from the
 //!   request's fields and nothing else, so CLI, batch, and serve can
-//!   never disagree on keying (they all call this method verbatim).
+//!   never disagree on keying: batch dedup groups requests by this key,
+//!   and the executor looks them up under it. The canonical form behind
+//!   the key is computed once per request and kept with it.
 //! * [`execute`] / [`execute_with`] run the request: consult an
 //!   optional [`PlacementCache`], place on a miss, optionally certify
 //!   through an attached [`Certifier`], and report the cache
@@ -25,6 +27,7 @@
 //!
 //! [`BatchPlacer`]: crate::batch::BatchPlacer
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use qcp_circuit::Circuit;
@@ -102,6 +105,8 @@ pub struct PlaceRequest<'a> {
     config: PlacerConfig,
     verify: bool,
     cache_policy: CachePolicy,
+    /// The circuit's canonical form, computed on first use.
+    canonical: OnceLock<CanonicalCircuit>,
 }
 
 impl<'a> PlaceRequest<'a> {
@@ -114,6 +119,7 @@ impl<'a> PlaceRequest<'a> {
             config: PlacerConfig::default(),
             verify: false,
             cache_policy: CachePolicy::default(),
+            canonical: OnceLock::new(),
         }
     }
 
@@ -175,9 +181,11 @@ impl<'a> PlaceRequest<'a> {
         self.cache_policy
     }
 
-    /// The circuit's exact canonical form (fingerprint + witness order).
-    pub fn canonical(&self) -> CanonicalCircuit {
-        CanonicalCircuit::of(self.circuit)
+    /// The circuit's exact canonical form (fingerprint + witness order),
+    /// computed on the first call and reused by every later one.
+    pub fn canonical(&self) -> &CanonicalCircuit {
+        self.canonical
+            .get_or_init(|| CanonicalCircuit::of(self.circuit))
     }
 
     /// The result-cache key for this request, derived **only** from the
@@ -192,7 +200,7 @@ impl<'a> PlaceRequest<'a> {
     ///
     /// [`cacheable`]: PlaceRequest::cacheable
     pub fn cache_key(&self) -> CacheKey {
-        cache_key(&self.canonical(), self.environment, &self.config)
+        cache_key(self.canonical(), self.environment, &self.config)
     }
 
     /// Whether this request's canonical form is a sound sharing key.
@@ -248,25 +256,20 @@ pub fn execute_with(
             message: "request asks for verification but no certifier is attached".to_string(),
         });
     }
-    let cache = match (request.cache_policy, cache) {
-        (CachePolicy::Use, Some(cache)) if cache.capacity() > 0 => Some(cache),
-        _ => None,
-    };
     // An exhausted canonicalization (the individualization search hit
     // its leaf budget) can be labelling-dependent: relabellings of the
     // same circuit may fingerprint apart, or — worse — collide under a
     // witness that does not actually relate them. Such requests are
     // uncacheable: neither looked up nor stored, reported as `Bypass`.
-    let canonical = cache
-        .map(|_| request.canonical())
-        .filter(|canon| !canon.exhausted);
-    let cache = cache.filter(|_| canonical.is_some());
-    let key = canonical
-        .as_ref()
-        .map(|canon| cache_key(canon, request.environment, &request.config));
+    let cache = match (request.cache_policy, cache) {
+        (CachePolicy::Use, Some(cache)) if cache.capacity() > 0 && request.cacheable() => {
+            Some((cache, request.cache_key()))
+        }
+        _ => None,
+    };
 
-    if let (Some(cache), Some(key), Some(canon)) = (cache, key, canonical.as_ref()) {
-        if let Some((outcome, remapped)) = cache.lookup(key, &canon.order) {
+    if let Some((cache, key)) = cache {
+        if let Some((outcome, remapped)) = cache.lookup(key, &request.canonical().order) {
             let certificate = certify_if_asked(request, &outcome, certifier)?;
             return Ok(PlaceReport {
                 outcome,
@@ -280,8 +283,8 @@ pub fn execute_with(
     let placer = Placer::new(request.environment, request.config.clone());
     let outcome = placer.place(request.circuit)?;
     let certificate = certify_if_asked(request, &outcome, certifier)?;
-    let disposition = if let (Some(cache), Some(key), Some(canon)) = (cache, key, canonical) {
-        cache.insert(key, canon.order, outcome.clone());
+    let disposition = if let Some((cache, key)) = cache {
+        cache.insert(key, request.canonical().order.clone(), outcome.clone());
         CacheDisposition::Miss
     } else {
         CacheDisposition::Bypass
@@ -383,6 +386,20 @@ mod tests {
             qec_request(&relabelled, &env).cache_key(),
             request.cache_key()
         );
+    }
+
+    #[test]
+    fn canonical_form_is_computed_once_per_request() {
+        let env = molecules::acetyl_chloride();
+        let circuit = library::qec3_encoder();
+        let request = qec_request(&circuit, &env);
+        let first: *const CanonicalCircuit = request.canonical();
+        // Keying, the cacheability check and execution all reuse the
+        // form computed by the first call.
+        assert!(request.cacheable());
+        request.cache_key();
+        execute_with(&request, Some(&PlacementCache::new(4)), None).expect("place");
+        assert!(std::ptr::eq(first, request.canonical()));
     }
 
     /// A circuit whose interaction graph is `rings` disjoint rings of
