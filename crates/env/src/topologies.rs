@@ -229,9 +229,17 @@ pub fn from_coupling_list(
     b.build()
 }
 
+/// Largest device a parsed [`TopologySpec`] may describe. An
+/// [`Environment`] stores a dense `n(n+1)/2` coupling table, so a spec
+/// that arrives on the command line or in a network request must not
+/// name an arbitrary size; the largest device in the repository's
+/// workloads is `grid:8x8`.
+const MAX_QUBITS: usize = 4096;
+
 /// A parsed device-topology specifier, the CLI's `--topology` argument.
 ///
-/// Recognized spellings (case-sensitive, sizes in decimal):
+/// Recognized spellings (case-sensitive, sizes in decimal, at most 4096
+/// qubits):
 ///
 /// | Spec | Device |
 /// |---|---|
@@ -268,12 +276,19 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// Number of qubits the built device will have.
+    /// Number of qubits the built device will have (`usize::MAX` when
+    /// the count overflows, which no parsed spec does).
     pub fn qubit_count(&self) -> usize {
+        self.checked_qubit_count().unwrap_or(usize::MAX)
+    }
+
+    fn checked_qubit_count(&self) -> Option<usize> {
         match *self {
-            TopologySpec::Line(n) | TopologySpec::Ring(n) | TopologySpec::Star(n) => n,
-            TopologySpec::Grid(r, c) => r * c,
-            TopologySpec::HeavyHex(d) => d * (5 * d - 3) / 2,
+            TopologySpec::Line(n) | TopologySpec::Ring(n) | TopologySpec::Star(n) => Some(n),
+            TopologySpec::Grid(r, c) => r.checked_mul(c),
+            TopologySpec::HeavyHex(d) => {
+                Some(d.checked_mul(d.checked_mul(5)?.checked_sub(3)?)? / 2)
+            }
         }
     }
 
@@ -342,7 +357,10 @@ impl FromStr for TopologySpec {
             TopologySpec::HeavyHex(d) if d < 3 || d % 2 == 0 => {
                 Err(bad("heavy-hex distance must be odd and at least 3"))
             }
-            ok => Ok(ok),
+            ok => match ok.checked_qubit_count() {
+                Some(n) if n <= MAX_QUBITS => Ok(ok),
+                _ => Err(bad(&format!("more than {MAX_QUBITS} qubits"))),
+            },
         }
     }
 }
@@ -461,6 +479,32 @@ mod tests {
                 "{text}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn spec_rejects_devices_over_the_qubit_cap() {
+        for text in ["line:4096", "grid:64x64", "heavy_hex:39"] {
+            let spec: TopologySpec = text.parse().unwrap();
+            assert!(spec.qubit_count() <= MAX_QUBITS, "{text}");
+        }
+        for text in [
+            "line:4097",
+            "ring:100000",
+            "star:18446744073709551615",
+            "grid:64x65",
+            // rows × cols overflows a 64-bit usize.
+            "grid:4294967296x4294967296",
+            "heavy_hex:41",
+            // 5d overflows before the product does.
+            "heavy_hex:9999999999999999999",
+        ] {
+            let err = text.parse::<TopologySpec>().unwrap_err();
+            assert!(
+                err.to_string().contains("more than 4096 qubits"),
+                "{text}: {err}"
+            );
+        }
+        assert_eq!(TopologySpec::Grid(usize::MAX, 2).qubit_count(), usize::MAX);
     }
 
     #[test]

@@ -1,16 +1,5 @@
-//! Graph canonicalization: iterated degree (colour) refinement, orbit
-//! partitioning, and a stable [`CanonicalFingerprint`].
-//!
-//! The placement pipeline of Maslov–Falconer–Mosca treats a circuit as
-//! its interaction graph and an environment as its fast-interaction
-//! graph; two requests whose graphs are isomorphic are *the same
-//! placement problem* (the monomorphism formulation of §5 is blind to
-//! vertex labels). This module computes a canonical form so equal
-//! problems can be recognised in O(poly n) and their results shared —
-//! the canonicalization-keyed result cache of `qcp_place::cache` is the
-//! consumer.
-//!
-//! The algorithm is the classic individualization–refinement scheme:
+//! Graph symmetry: iterated degree (colour) refinement, verified
+//! automorphisms, and a stable 128-bit [`CanonicalFingerprint`] hasher.
 //!
 //! 1. **Refinement** ([`refine`]): iterated Weisfeiler–Leman colour
 //!    refinement seeded with degrees. Each round recolours every node by
@@ -18,27 +7,24 @@
 //!    colour ids are assigned by *rank* of the signature (not by hash),
 //!    so they are isomorphism-invariant and collision-free by
 //!    construction. The fixed point partitions nodes into refinement
-//!    cells — the orbit partition reported by [`orbits`].
-//! 2. **Individualization** ([`canonical_form`]): while some cell has
-//!    more than one member, one member of the first such cell is given a
-//!    fresh colour and refinement re-runs. At these sizes (device
-//!    topologies and circuit interaction graphs, tens of nodes)
-//!    refinement separates everything that is not genuinely symmetric,
-//!    so tied nodes are automorphic images of each other and any
-//!    tie-break yields the same certificate.
-//!
-//! The certificate — node count, and each canonical node's weighted
-//! adjacency written in canonical indices — is hashed into a 128-bit
-//! [`CanonicalFingerprint`]. Equal fingerprints on refinement-
-//! distinguishable graphs mean isomorphic graphs; callers needing an
-//! *exact* guarantee (the placement cache) layer a structure-complete
-//! encoding on top and use the canonical order only as the witness.
+//!    cells — the partition reported by [`orbits`].
+//! 2. **Automorphisms** ([`automorphisms`]): explicit generators, each
+//!    verified edge by edge, and the orbit partition they span.
+//!    Refinement cells only bound the true orbits from above (WL merges
+//!    the nodes of two rings of different lengths), so the exact
+//!    search's device-symmetry pruning (one VF2 root per orbit) uses
+//!    these verified orbits.
+//! 3. **Fingerprints** ([`FingerprintHasher`]): a streaming 128-bit
+//!    FNV-1a hash. The placement result cache (`qcp_place::cache`)
+//!    hashes each circuit's gate stream under a canonical qubit order
+//!    that it reads off the gate sequence, so no graph canonical form is
+//!    computed here.
 
 use std::fmt;
 
 use crate::{Graph, NodeId};
 
-/// A 128-bit FNV-1a fingerprint of a canonical certificate.
+/// A 128-bit FNV-1a fingerprint, built by [`FingerprintHasher`].
 ///
 /// 128 bits instead of the workspace's usual 64: fingerprints key a
 /// result *cache*, where a collision would silently serve one circuit
@@ -196,184 +182,6 @@ pub fn refine(graph: &Graph) -> Vec<u64> {
 /// contiguous from 0 in colour order).
 pub fn orbits(graph: &Graph) -> Vec<usize> {
     refine(graph).iter().map(|&c| c as usize).collect()
-}
-
-/// A canonical form: the fingerprint plus the canonical node order that
-/// witnesses it.
-#[derive(Clone, Debug)]
-pub struct CanonicalForm {
-    /// Fingerprint of the canonical adjacency certificate.
-    pub fingerprint: CanonicalFingerprint,
-    /// `order[i]` is the original node occupying canonical position `i`.
-    pub order: Vec<NodeId>,
-    /// Number of refinement cells (orbits) before individualization.
-    pub orbit_count: usize,
-    /// Whether the individualization search hit its leaf budget
-    /// (`LEAF_BUDGET`) before exhausting every branch. An exhausted
-    /// certificate is still deterministic for a *fixed* labelling, but
-    /// may differ between relabellings of the same graph — callers
-    /// keying caches on the fingerprint must treat it as unusable for
-    /// sharing.
-    pub exhausted: bool,
-}
-
-/// Ceiling on discrete colourings examined per [`canonical_form`] call.
-/// Real workloads (interaction graphs and device topologies, tens of
-/// nodes, symmetry groups generated by a few reflections/rotations) need
-/// well under a hundred leaves; the backstop only matters for
-/// adversarially symmetric WL-hard graphs, where the search degrades to
-/// a deterministic (but possibly labelling-dependent) certificate.
-const LEAF_BUDGET: usize = 512;
-
-/// Min-certificate individualization–refinement search state.
-struct CanonicalSearch<'g> {
-    graph: &'g Graph,
-    /// Best (lexicographically smallest) certificate and its witness.
-    best: Option<(Vec<u64>, Vec<NodeId>)>,
-    leaves: usize,
-    /// Set when a branch was abandoned because the leaf budget ran out.
-    exhausted: bool,
-}
-
-impl CanonicalSearch<'_> {
-    /// Recursively individualizes the first non-singleton cell. Branches
-    /// on one member per *twin class* (two cell members whose
-    /// neighbourhoods coincide off each other are swapped by an
-    /// automorphism, so their branches yield equal certificates) and
-    /// keeps the minimum certificate over all explored leaves.
-    fn explore(&mut self, colors: Vec<u64>) {
-        if self.leaves >= LEAF_BUDGET {
-            // Unexplored branch abandoned: the minimum over the leaves
-            // seen so far may not be the global minimum, so the
-            // certificate is potentially labelling-dependent.
-            self.exhausted = true;
-            return;
-        }
-        let n = colors.len();
-        if distinct(&colors) == n {
-            self.leaves += 1;
-            let leaf = self.certificate(&colors);
-            if self.best.as_ref().is_none_or(|(b, _)| leaf.0 < *b) {
-                self.best = Some(leaf);
-            }
-            return;
-        }
-        let mut counts = vec![0usize; n];
-        for &c in &colors {
-            counts[c as usize] += 1;
-        }
-        let target = counts.iter().position(|&k| k > 1).unwrap_or(0) as u64;
-        let members: Vec<usize> = (0..n).filter(|&v| colors[v] == target).collect();
-        let mut skip = vec![false; members.len()];
-        for i in 0..members.len() {
-            if skip[i] {
-                continue;
-            }
-            for j in (i + 1)..members.len() {
-                if !skip[j] && self.twins(members[i], members[j]) {
-                    skip[j] = true;
-                }
-            }
-            let mut seed: Vec<u64> = colors.iter().map(|&c| c * 2).collect();
-            seed[members[i]] += 1;
-            self.explore(refine_seeded(self.graph, &seed));
-        }
-    }
-
-    /// Whether the transposition of `u` and `v` is an automorphism:
-    /// their weighted neighbourhoods agree once each is removed from the
-    /// other's. Catches the interchangeable-vertex pathologies (empty,
-    /// complete, complete multipartite cells) that would otherwise make
-    /// the branch tree factorial.
-    fn twins(&self, u: usize, v: usize) -> bool {
-        let side = |a: usize, other: usize| -> Vec<(usize, u64)> {
-            let mut nbrs: Vec<(usize, u64)> = self
-                .graph
-                .neighbors(NodeId::new(a))
-                .filter(|x| x.index() != other)
-                .map(|x| {
-                    let w = self
-                        .graph
-                        .weight(NodeId::new(a), x)
-                        .unwrap_or(f64::INFINITY);
-                    (x.index(), weight_bits(w))
-                })
-                .collect();
-            nbrs.sort_unstable();
-            nbrs
-        };
-        side(u, v) == side(v, u)
-    }
-
-    /// The certificate of a discrete colouring: node count, edge count,
-    /// then each canonical node's sorted weighted adjacency written in
-    /// canonical indices. Lexicographic comparison of these word
-    /// sequences picks the canonical leaf.
-    fn certificate(&self, colors: &[u64]) -> (Vec<u64>, Vec<NodeId>) {
-        let n = colors.len();
-        let mut order: Vec<NodeId> = self.graph.nodes().collect();
-        order.sort_unstable_by_key(|v| colors[v.index()]);
-        let mut canonical_index = vec![0usize; n];
-        for (i, v) in order.iter().enumerate() {
-            canonical_index[v.index()] = i;
-        }
-        let mut words = Vec::with_capacity(2 + n + 4 * self.graph.edge_count());
-        words.push(n as u64);
-        words.push(self.graph.edge_count() as u64);
-        for &v in &order {
-            let mut nbrs: Vec<(u64, u64)> = self
-                .graph
-                .neighbors(v)
-                .map(|u| {
-                    let w = self.graph.weight(v, u).unwrap_or(f64::INFINITY);
-                    (canonical_index[u.index()] as u64, weight_bits(w))
-                })
-                .collect();
-            nbrs.sort_unstable();
-            words.push(nbrs.len() as u64);
-            for (ci, w) in nbrs {
-                words.push(ci);
-                words.push(w);
-            }
-        }
-        (words, order)
-    }
-}
-
-/// Computes the canonical form by min-certificate
-/// individualization–refinement: every member of the first non-singleton
-/// refinement cell is individualized in turn (one representative per
-/// automorphic twin class), the search recurses to a discrete colouring,
-/// and the lexicographically smallest certificate over all explored
-/// leaves wins. Branching over the whole cell — rather than picking one
-/// member — is what makes the certificate relabelling-invariant even on
-/// regular graphs whose refinement partition is a single cell.
-pub fn canonical_form(graph: &Graph) -> CanonicalForm {
-    let colors = refine(graph);
-    let orbit_count = distinct(&colors);
-    let mut search = CanonicalSearch {
-        graph,
-        best: None,
-        leaves: 0,
-        exhausted: false,
-    };
-    search.explore(colors);
-    let (words, order) = search.best.unwrap_or_else(|| (vec![0, 0], Vec::new()));
-    let mut hasher = FingerprintHasher::new();
-    for word in words {
-        hasher.mix(word);
-    }
-    CanonicalForm {
-        fingerprint: hasher.finish(),
-        order,
-        orbit_count,
-        exhausted: search.exhausted,
-    }
-}
-
-/// The canonical fingerprint alone (see [`canonical_form`]).
-pub fn fingerprint(graph: &Graph) -> CanonicalFingerprint {
-    canonical_form(graph).fingerprint
 }
 
 /// Explicit, verified automorphism generators and the orbit partition
@@ -632,69 +440,19 @@ pub fn automorphisms(graph: &Graph) -> Automorphisms {
     }
 }
 
-fn distinct(colors: &[u64]) -> usize {
-    let mut sorted = colors.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate;
 
-    /// Relabels a graph through the permutation `perm` (`perm[old] = new`).
-    fn relabel(graph: &Graph, perm: &[usize]) -> Graph {
-        let edges: Vec<(usize, usize, f64)> = graph
-            .edges()
-            .map(|(a, b, w)| (perm[a.index()], perm[b.index()], w))
-            .collect();
-        Graph::from_weighted_edges(graph.node_count(), edges).expect("relabel")
-    }
-
-    #[test]
-    fn fingerprint_invariant_under_relabeling() {
-        for graph in [
-            generate::chain(9),
-            generate::ring(12),
-            generate::grid(3, 4),
-            generate::star(7),
-        ] {
-            let n = graph.node_count();
-            let base = fingerprint(&graph);
-            // A fixed non-trivial permutation plus a rotation.
-            let reversed: Vec<usize> = (0..n).rev().collect();
-            let rotated: Vec<usize> = (0..n).map(|i| (i + 3) % n).collect();
-            for perm in [reversed, rotated] {
-                assert_eq!(fingerprint(&relabel(&graph, &perm)), base);
-            }
-        }
-    }
-
-    #[test]
-    fn near_misses_have_distinct_fingerprints() {
-        let chain = generate::chain(8);
-        let ring = generate::ring(8);
-        assert_ne!(fingerprint(&chain), fingerprint(&ring));
-        // One added edge changes the certificate.
-        let mut plus = chain.clone();
-        plus.add_edge(NodeId::new(0), NodeId::new(4), 1.0).unwrap();
-        assert_ne!(fingerprint(&chain), fingerprint(&plus));
-        // Different weights on the same topology are different problems.
-        let light = Graph::from_weighted_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let heavy = Graph::from_weighted_edges(3, [(0, 1, 1.0), (1, 2, 2.0)]).unwrap();
-        assert_ne!(fingerprint(&light), fingerprint(&heavy));
-    }
-
     #[test]
     fn orbit_partition_matches_symmetry() {
         // A chain of 5 has 3 orbits: ends, their neighbours, the centre.
         let orbit_ids = orbits(&generate::chain(5));
-        assert_eq!(
-            distinct(&orbit_ids.iter().map(|&o| o as u64).collect::<Vec<_>>()),
-            3
-        );
+        let mut ids = orbit_ids.clone();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 3);
         assert_eq!(orbit_ids[0], orbit_ids[4]);
         assert_eq!(orbit_ids[1], orbit_ids[3]);
         // Rings and complete graphs are vertex-transitive: one orbit.
@@ -702,66 +460,6 @@ mod tests {
         // A star has two orbits: hub and leaves.
         let star = orbits(&generate::star(5));
         assert_eq!(star.iter().filter(|&&o| o != star[0]).count(), 5 - 1);
-    }
-
-    #[test]
-    fn canonical_order_is_a_permutation() {
-        let graph = generate::grid(3, 3);
-        let form = canonical_form(&graph);
-        let mut seen = [false; 9];
-        for v in &form.order {
-            assert!(!seen[v.index()]);
-            seen[v.index()] = true;
-        }
-        assert!(form.orbit_count >= 1);
-    }
-
-    #[test]
-    fn empty_and_singleton_graphs() {
-        let empty = Graph::new(0);
-        let one = Graph::new(1);
-        assert_ne!(fingerprint(&empty), fingerprint(&one));
-        assert_eq!(canonical_form(&empty).order.len(), 0);
-        assert_eq!(canonical_form(&one).order.len(), 1);
-    }
-
-    /// Disjoint union of `k` rings of `len` nodes: every node is in one
-    /// WL cell, but individualization must fix each ring separately, so
-    /// the leaf count grows as a product over rings — the classic way
-    /// to blow [`LEAF_BUDGET`].
-    fn ring_union(k: usize, len: usize) -> Graph {
-        let mut edges = Vec::new();
-        for r in 0..k {
-            let base = r * len;
-            for i in 0..len {
-                edges.push((base + i, base + (i + 1) % len, 1.0));
-            }
-        }
-        Graph::from_weighted_edges(k * len, edges).expect("ring union")
-    }
-
-    #[test]
-    fn ordinary_graphs_do_not_exhaust_the_leaf_budget() {
-        for graph in [
-            generate::chain(9),
-            generate::ring(12),
-            generate::grid(4, 4),
-            generate::star(7),
-        ] {
-            assert!(!canonical_form(&graph).exhausted);
-        }
-    }
-
-    #[test]
-    fn ring_union_exhausts_the_leaf_budget() {
-        let graph = ring_union(3, 8);
-        let form = canonical_form(&graph);
-        assert!(
-            form.exhausted,
-            "3 disjoint rings of 8 should exceed {LEAF_BUDGET} leaves"
-        );
-        // The order is still a usable (if non-canonical) permutation.
-        assert_eq!(form.order.len(), 24);
     }
 
     #[test]
@@ -821,6 +519,26 @@ mod tests {
     }
 
     #[test]
+    fn automorphisms_of_equal_rings_span_one_orbit() {
+        // Three disjoint rings of 8: every node has the same WL colour,
+        // and here the colour cell really is one orbit, witnessed by
+        // rotations within a ring and maps between rings.
+        let mut edges = Vec::new();
+        for r in 0..3 {
+            for i in 0..8 {
+                edges.push((r * 8 + i, r * 8 + (i + 1) % 8, 1.0));
+            }
+        }
+        let graph = Graph::from_weighted_edges(24, edges).unwrap();
+        let auto = automorphisms(&graph);
+        assert!(auto.complete);
+        assert_eq!(auto.orbits, vec![0; 24]);
+        for g in &auto.generators {
+            assert!(is_automorphism(&graph, g));
+        }
+    }
+
+    #[test]
     fn automorphisms_respect_distinct_weights() {
         // Distinct edge weights kill all symmetry: every orbit is a
         // singleton and there are no generators.
@@ -836,8 +554,12 @@ mod tests {
 
     #[test]
     fn fingerprint_display_is_hex() {
-        let fp = fingerprint(&generate::chain(3));
+        let fp = FingerprintHasher::new().mix(3).finish();
         assert_eq!(fp.to_string().len(), 32);
-        assert_eq!(fp.fold64(), fp.fold64());
+        assert_eq!(fp.to_string(), format!("{:032x}", fp.as_u128()));
+        assert_eq!(
+            fp.fold64(),
+            (fp.as_u128() as u64) ^ ((fp.as_u128() >> 64) as u64)
+        );
     }
 }

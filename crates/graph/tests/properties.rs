@@ -560,53 +560,6 @@ fn relabel(g: &Graph, perm: &[usize]) -> Graph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    // The cache-keying soundness half: isomorphic relabellings can never
-    // split a canonical fingerprint, on arbitrary G(n, p) graphs.
-    #[test]
-    fn canonical_fingerprint_is_relabeling_invariant(g in arb_graph(12), seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let base = canonical::fingerprint(&g);
-        for _ in 0..3 {
-            let perm = random_permutation(g.node_count(), &mut rng);
-            prop_assert_eq!(canonical::fingerprint(&relabel(&g, &perm)), base);
-        }
-    }
-
-    // The discrimination half: toggling one edge (a near-miss, not an
-    // isomorph) must move the fingerprint.
-    #[test]
-    fn canonical_fingerprint_separates_single_edge_toggles(
-        g in arb_graph(10),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = g.node_count();
-        if n < 2 {
-            return Ok(());
-        }
-        let a = rand::Rng::gen_range(&mut rng, 0..n);
-        let b = (a + 1 + rand::Rng::gen_range(&mut rng, 0..n - 1)) % n;
-        let (a, b) = (a.min(b), a.max(b));
-        let had = g.has_edge(NodeId::new(a), NodeId::new(b));
-        let edges: Vec<(usize, usize, f64)> = if had {
-            g.edges()
-                .filter(|&(x, y, _)| (x.index(), y.index()) != (a, b) && (y.index(), x.index()) != (a, b))
-                .map(|(x, y, w)| (x.index(), y.index(), w))
-                .collect()
-        } else {
-            g.edges()
-                .map(|(x, y, w)| (x.index(), y.index(), w))
-                .chain(std::iter::once((a, b, 1.0)))
-                .collect()
-        };
-        let toggled = Graph::from_weighted_edges(n, edges).unwrap();
-        prop_assert_ne!(
-            canonical::fingerprint(&toggled),
-            canonical::fingerprint(&g),
-            "toggling edge ({a},{b}) (had={had}) left the fingerprint unchanged"
-        );
-    }
-
     // Orbit ids are a dense partition labelling (one id per node,
     // contiguous from 0), and relabelling permutes the partition without
     // changing its cell-size multiset.

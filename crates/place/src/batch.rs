@@ -270,9 +270,10 @@ impl BatchPlacer {
     /// its own. A relabelled repeat gets the first request's placement on
     /// its own labels, which can differ from, and be worse or better
     /// than, placing it fresh: the order in which the search visits
-    /// candidates depends on the qubit labels. Requests whose
-    /// canonicalization was [exhausted](crate::CanonicalCircuit::exhausted)
-    /// are never deduped. [`BatchReport::deduped`] counts the repeats.
+    /// candidates depends on the qubit labels. Every circuit has an exact
+    /// canonical form, so every relabelled repeat is found, including
+    /// repeats of symmetric circuits such as disjoint rings.
+    /// [`BatchReport::deduped`] counts the repeats.
     #[must_use]
     pub fn dedup(mut self, dedup: bool) -> Self {
         self.dedup = dedup;
@@ -303,14 +304,12 @@ impl BatchPlacer {
 
         // `first_of[i]` is the first request sharing request i's cache
         // key (i itself for a first request, and for every request when
-        // dedup is off or its canonicalization is exhausted).
+        // dedup is off).
         let mut first_of: Vec<usize> = (0..n).collect();
         if self.dedup {
             let mut first_with_key = HashMap::new();
             for (i, request) in requests.iter().enumerate() {
-                if request.cacheable() {
-                    first_of[i] = *first_with_key.entry(request.cache_key()).or_insert(i);
-                }
+                first_of[i] = *first_with_key.entry(request.cache_key()).or_insert(i);
             }
         }
         let firsts: Vec<usize> = (0..n).filter(|&i| first_of[i] == i).collect();
@@ -995,24 +994,11 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_canonicalizations_are_never_deduped() {
-        // Three disjoint rings of 8 blow the canonicalization leaf
-        // budget, so the fingerprint may be labelling-dependent: two
-        // relabellings of the same circuit must both be placed
-        // individually, never served from each other by witness remap.
-        let mut b = Circuit::builder(24);
-        for r in 0..3 {
-            let base = r * 8;
-            for i in 0..8 {
-                b.gate(qcp_circuit::Gate::zz(
-                    qcp_circuit::Qubit::new(base + i),
-                    qcp_circuit::Qubit::new(base + (i + 1) % 8),
-                    90.0,
-                ));
-            }
-        }
-        let circuit = b.build();
-        assert!(crate::CanonicalCircuit::of(&circuit).exhausted);
+    fn relabelled_ring_unions_are_deduped() {
+        // Three disjoint rings of 8: every qubit has the same
+        // Weisfeiler–Leman colour, yet a relabelling is still recognised
+        // as a repeat and answered by witness remap.
+        let circuit = crate::cache::tests::ring_union(&[8, 8, 8]);
         let relabelled = circuit.map_qubits(24, |q| qcp_circuit::Qubit::new(23 - q.index()));
         let env = topologies::grid(5, 5, topologies::Delays::default());
         let mut config =
@@ -1024,8 +1010,10 @@ mod tests {
             BatchRequest::new("relabelled", relabelled, env, config),
         ];
         let report = BatchPlacer::new(requests).run();
-        assert_eq!(report.deduped, 0, "exhausted certificates must not dedup");
+        assert_eq!(report.deduped, 1);
         assert_eq!(report.succeeded(), 2);
+        let runtime = |i: usize| report.results[i].outcome.as_ref().expect("placed").runtime;
+        assert_eq!(runtime(0), runtime(1));
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //!
 //! 1. [`CanonicalCircuit::of`] computes an **exact** canonical form of a
 //!    circuit: a label-independent [`CanonicalFingerprint`] plus the
-//!    canonical qubit order that witnesses it. Unlike pure
-//!    Weisfeiler–Leman graph hashing (which conflates WL-equivalent
-//!    non-isomorphic graphs), the circuit-level canonicalization below
-//!    is collision-free by construction for relabelled circuits — see
-//!    *Exactness* — so a fingerprint match plus witness remap can never
-//!    hand one circuit a placement that is invalid for it.
+//!    canonical qubit order that witnesses it. The form is read off the
+//!    gate sequence itself (see *Exactness*), with no interaction-graph
+//!    canonicalization, so it is collision-free for relabelled circuits
+//!    and a fingerprint match plus witness remap can never hand one
+//!    circuit a placement that is invalid for it.
 //! 2. [`PlacementCache`] is a bounded, concurrency-safe map from
 //!    [`CacheKey`] (canonical circuit × environment × full placer
 //!    configuration, all value-derived) to a stored
@@ -32,23 +31,29 @@
 //!
 //! # Exactness
 //!
-//! Each qubit is coloured by its WL colour in the interaction graph
-//! *and* by its **role list**: the ordered sequence, over the circuit's
-//! flat gate sequence, of `(gate position, role, gate kind)` entries in
-//! which it participates (role: single-qubit operand, first/second
-//! operand of an ordered two-qubit gate, or operand of a symmetric
-//! gate). Relabelling a circuit permutes qubits but preserves gate
-//! order, so role lists are relabelling-invariant. Qubits are sorted by
-//! `(WL colour, role list, original index)`; the original-index
-//! tie-break is harmless because two qubits with *identical* role lists
-//! necessarily share every gate they touch, which forces all those
-//! gates to be symmetric two-qubit gates on exactly that pair — their
-//! transposition is then an automorphism of the circuit encoding (which
-//! writes symmetric gates with sorted operands), so either order yields
-//! the same fingerprint. Idle qubits (empty role lists) are likewise
+//! Each qubit is described by its **role list**: the ordered sequence,
+//! over the circuit's flat gate sequence, of `(gate position, role, gate
+//! kind)` entries in which it participates (role: single-qubit operand,
+//! first/second operand of an ordered two-qubit gate, or operand of a
+//! symmetric gate). Relabelling a circuit permutes qubits but preserves
+//! gate order, so role lists are relabelling-invariant. Qubits are sorted
+//! by `(role list, original index)`; the original-index tie-break is
+//! harmless because two qubits with *identical* role lists necessarily
+//! share every gate they touch, which forces all those gates to be
+//! symmetric two-qubit gates on exactly that pair — their transposition
+//! is then an automorphism of the circuit encoding (which writes
+//! symmetric gates with sorted operands), so either order yields the same
+//! fingerprint. Idle qubits (empty role lists) are likewise
 //! interchangeable. The fingerprint hashes the full gate sequence in
 //! canonical labels, so distinct canonical circuits collide only by a
 //! 128-bit hash collision.
+//!
+//! Gate positions make the order canonical even where the interaction
+//! graph is maximally symmetric (disjoint unions of equal rings defeat
+//! Weisfeiler–Leman refinement and blow up individualization search):
+//! canonicalization is two passes over the gate list and one sort, with
+//! no search whose budget an adversarial circuit could exhaust, so every
+//! circuit is cacheable.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +61,7 @@ use std::sync::{Mutex, PoisonError};
 
 use qcp_circuit::{Circuit, Gate, Qubit};
 use qcp_env::Environment;
-use qcp_graph::canonical::{self, CanonicalFingerprint, FingerprintHasher};
+use qcp_graph::canonical::{CanonicalFingerprint, FingerprintHasher};
 
 use crate::placement::Placement;
 use crate::placer::{PlacementOutcome, PlacerConfig, Stage};
@@ -94,18 +99,11 @@ fn f64_bits(x: f64) -> u64 {
 pub struct CanonicalCircuit {
     /// Label-independent fingerprint of the whole circuit.
     pub fingerprint: CanonicalFingerprint,
-    /// Fingerprint of the interaction graph alone (coarser: ignores gate
-    /// order and parameters).
-    pub graph_fingerprint: CanonicalFingerprint,
     /// `order[i]` is the original qubit occupying canonical position `i`.
     pub order: Vec<Qubit>,
-    /// Whether the interaction graph's canonicalization hit the
-    /// individualization leaf budget before exhausting every branch. An
-    /// exhausted form is deterministic for a *fixed* labelling but may
-    /// differ between relabellings of the same circuit, so the
-    /// fingerprint is not a sound sharing key: cache layers must treat
-    /// the request as uncacheable (see
-    /// [`execute_with`](crate::request::execute_with)).
+    /// Always `false`: the role-list canonical form has no search that
+    /// could run out, so every form is a sound sharing key. Kept so
+    /// existing readers still compile; the field is slated for removal.
     pub exhausted: bool,
 }
 
@@ -142,16 +140,12 @@ fn is_symmetric(gate: &Gate) -> bool {
 }
 
 impl CanonicalCircuit {
-    /// Canonicalizes `circuit`. Cost is the WL refinement on the
-    /// interaction graph plus two passes over the gate list — linear up
-    /// to the refinement's small polynomial factor.
+    /// Canonicalizes `circuit`. Cost is two passes over the gate list
+    /// plus one sort of the qubits by role list.
     pub fn of(circuit: &Circuit) -> CanonicalCircuit {
         let n = circuit.qubit_count();
-        let graph = circuit.interaction_graph();
-        let graph_form = canonical::canonical_form(&graph);
 
         // Role lists: relabelling-invariant per-qubit gate traces.
-        let colors = canonical::refine(&graph);
         let mut roles: Vec<Vec<RoleEntry>> = vec![Vec::new(); n];
         for (pos, gate) in circuit.gates().enumerate() {
             let kind = gate_kind(gate);
@@ -169,25 +163,19 @@ impl CanonicalCircuit {
             }
         }
 
-        // Canonical order: WL colour, then role list, then index (the
-        // index tie-break is automorphism-safe; see the module docs).
+        // Canonical order: role list, then index (the index tie-break
+        // is automorphism-safe; see the module docs).
         let mut order: Vec<Qubit> = (0..n).map(Qubit::new).collect();
-        order.sort_by(|&a, &b| {
-            let key_a = (colors[a.index()], &roles[a.index()], a.index());
-            let key_b = (colors[b.index()], &roles[b.index()], b.index());
-            key_a.cmp(&key_b)
-        });
+        order.sort_by(|&a, &b| (&roles[a.index()], a).cmp(&(&roles[b.index()], b)));
         let mut canonical_index = vec![0u64; n];
         for (i, q) in order.iter().enumerate() {
             canonical_index[q.index()] = i as u64;
         }
 
         // Fingerprint: the full gate sequence (with level boundaries) in
-        // canonical labels, mixed with the graph fingerprint.
+        // canonical labels.
         let mut h = FingerprintHasher::new();
-        h.mix(n as u64)
-            .mix(circuit.gate_count() as u64)
-            .mix(graph_form.fingerprint.fold64());
+        h.mix(n as u64).mix(circuit.gate_count() as u64);
         for level in circuit.levels() {
             h.mix(leve_u64_marker());
             for gate in level.gates() {
@@ -213,9 +201,8 @@ impl CanonicalCircuit {
         }
         CanonicalCircuit {
             fingerprint: h.finish(),
-            graph_fingerprint: graph_form.fingerprint,
             order,
-            exhausted: graph_form.exhausted,
+            exhausted: false,
         }
     }
 }
@@ -299,7 +286,6 @@ pub fn cache_key(
 ) -> CacheKey {
     let mut h = FingerprintHasher::new();
     h.mix(canonical.fingerprint.fold64())
-        .mix(canonical.graph_fingerprint.fold64())
         .mix(env_fingerprint(env))
         .mix(config_fingerprint(config));
     CacheKey(h.finish().as_u128())
@@ -522,7 +508,7 @@ impl PlacementCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qcp_circuit::library;
     use qcp_env::{molecules, Threshold};
@@ -545,7 +531,6 @@ mod tests {
             for perm in [reversed, rotated] {
                 let relabelled = CanonicalCircuit::of(&permuted(&circuit, &perm));
                 assert_eq!(relabelled.fingerprint, base.fingerprint);
-                assert_eq!(relabelled.graph_fingerprint, base.graph_fingerprint);
             }
         }
     }
@@ -564,8 +549,51 @@ mod tests {
             CanonicalCircuit::of(&a.build()),
             CanonicalCircuit::of(&b.build()),
         );
-        assert_eq!(ca.graph_fingerprint, cb.graph_fingerprint);
         assert_ne!(ca.fingerprint, cb.fingerprint);
+    }
+
+    /// Disjoint rings of `zz` couplings with the given lengths: every
+    /// qubit has degree 2, so Weisfeiler–Leman refinement cannot tell any
+    /// two qubits apart and only the gate order does.
+    pub(crate) fn ring_union(lengths: &[usize]) -> Circuit {
+        let mut b = Circuit::builder(lengths.iter().sum());
+        let mut base = 0;
+        for &len in lengths {
+            for i in 0..len {
+                b.gate(Gate::zz(
+                    Qubit::new(base + i),
+                    Qubit::new(base + (i + 1) % len),
+                    90.0,
+                ));
+            }
+            base += len;
+        }
+        b.build()
+    }
+
+    #[test]
+    fn wl_equivalent_ring_unions_are_told_apart() {
+        // All three circuits have 8 qubits, 8 gates and every qubit of
+        // degree 2, so colour refinement cannot separate their
+        // interaction graphs; the gate-sequence form must.
+        let forms: Vec<CanonicalCircuit> = [&[8][..], &[4, 4], &[3, 5]]
+            .iter()
+            .map(|lengths| CanonicalCircuit::of(&ring_union(lengths)))
+            .collect();
+        for i in 0..forms.len() {
+            for j in (i + 1)..forms.len() {
+                assert_ne!(forms[i].fingerprint, forms[j].fingerprint, "{i} vs {j}");
+            }
+        }
+        // A relabelling still collides with its original, and the
+        // composed witness is the relabelling itself.
+        let circuit = ring_union(&[4, 4]);
+        let perm = [5, 2, 7, 0, 3, 6, 1, 4];
+        let relabelled = CanonicalCircuit::of(&permuted(&circuit, &perm));
+        assert_eq!(relabelled.fingerprint, forms[1].fingerprint);
+        for (stored, requested) in forms[1].order.iter().zip(&relabelled.order) {
+            assert_eq!(perm[stored.index()], requested.index());
+        }
     }
 
     #[test]

@@ -61,10 +61,9 @@ pub enum CacheDisposition {
     /// The cache was consulted but had no entry; the result was placed
     /// fresh (and stored).
     Miss,
-    /// The cache was not consulted — no cache attached, the request's
-    /// [`CachePolicy::Bypass`], or the request was uncacheable because
-    /// its canonicalization was
-    /// [exhausted](crate::CanonicalCircuit::exhausted).
+    /// The cache was not consulted: no cache was attached, the attached
+    /// cache has capacity 0, or the request's policy is
+    /// [`CachePolicy::Bypass`].
     Bypass,
 }
 
@@ -192,24 +191,8 @@ impl<'a> PlaceRequest<'a> {
     /// request's own fields (canonical circuit × environment tables ×
     /// placer configuration). Every layer — CLI, batch, serve — keys the
     /// cache through this method, so they cannot disagree.
-    ///
-    /// A key is only *usable* when the canonicalization behind it is not
-    /// [exhausted](CanonicalCircuit::exhausted) — check [`cacheable`]
-    /// (as [`execute_with`] and batch dedup do) before sharing results
-    /// under it.
-    ///
-    /// [`cacheable`]: PlaceRequest::cacheable
     pub fn cache_key(&self) -> CacheKey {
         cache_key(self.canonical(), self.environment, &self.config)
-    }
-
-    /// Whether this request's canonical form is a sound sharing key.
-    /// False when the interaction graph blew the canonicalization leaf
-    /// budget: the certificate may then be labelling-dependent, so
-    /// executing the request reports [`CacheDisposition::Bypass`] even
-    /// with a cache attached.
-    pub fn cacheable(&self) -> bool {
-        !self.canonical().exhausted
     }
 }
 
@@ -256,13 +239,8 @@ pub fn execute_with(
             message: "request asks for verification but no certifier is attached".to_string(),
         });
     }
-    // An exhausted canonicalization (the individualization search hit
-    // its leaf budget) can be labelling-dependent: relabellings of the
-    // same circuit may fingerprint apart, or — worse — collide under a
-    // witness that does not actually relate them. Such requests are
-    // uncacheable: neither looked up nor stored, reported as `Bypass`.
     let cache = match (request.cache_policy, cache) {
-        (CachePolicy::Use, Some(cache)) if cache.capacity() > 0 && request.cacheable() => {
+        (CachePolicy::Use, Some(cache)) if cache.capacity() > 0 => {
             Some((cache, request.cache_key()))
         }
         _ => None,
@@ -394,56 +372,47 @@ mod tests {
         let circuit = library::qec3_encoder();
         let request = qec_request(&circuit, &env);
         let first: *const CanonicalCircuit = request.canonical();
-        // Keying, the cacheability check and execution all reuse the
-        // form computed by the first call.
-        assert!(request.cacheable());
+        // Keying and execution both reuse the form computed by the
+        // first call.
         request.cache_key();
         execute_with(&request, Some(&PlacementCache::new(4)), None).expect("place");
         assert!(std::ptr::eq(first, request.canonical()));
     }
 
-    /// A circuit whose interaction graph is `rings` disjoint rings of
-    /// `len` qubits — WL-hard enough to blow the canonicalization leaf
-    /// budget (see `qcp_graph::canonical`).
-    fn ring_union_circuit(rings: usize, len: usize) -> Circuit {
-        let mut b = Circuit::builder(rings * len);
-        for r in 0..rings {
-            let base = r * len;
-            for i in 0..len {
-                b.gate(qcp_circuit::Gate::zz(
-                    Qubit::new(base + i),
-                    Qubit::new(base + (i + 1) % len),
-                    90.0,
-                ));
-            }
-        }
-        b.build()
-    }
-
     #[test]
-    fn exhausted_canonicalization_bypasses_the_cache() {
+    fn relabelled_ring_union_is_a_remapped_hit() {
         use qcp_env::topologies::{self, Delays};
-        let circuit = ring_union_circuit(3, 8);
+        let circuit = crate::cache::tests::ring_union(&[8, 8, 8]);
+        let n = circuit.qubit_count();
+        let relabelled = circuit.map_qubits(n, |q| Qubit::new(n - 1 - q.index()));
         let env = topologies::grid(5, 5, Delays::default());
         let mut config =
             PlacerConfig::with_threshold(env.connectivity_threshold().expect("connected"));
         config.strategy = Strategy::Anneal;
         config.anneal.iterations = 50;
-        let request = PlaceRequest::new(&circuit, &env).config(config);
 
-        // The certificate is exhausted, hence not a sound sharing key.
-        assert!(request.canonical().exhausted);
-        assert!(!request.cacheable());
-
-        // Even with a cache attached and CachePolicy::Use, the request
-        // must neither consult nor populate the cache.
         let cache = PlacementCache::new(16);
-        let first = execute_with(&request, Some(&cache), None).expect("place");
-        assert_eq!(first.cache, CacheDisposition::Bypass);
-        let second = execute_with(&request, Some(&cache), None).expect("place");
-        assert_eq!(second.cache, CacheDisposition::Bypass);
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits() + cache.misses(), 0);
+        let request = PlaceRequest::new(&circuit, &env).config(config.clone());
+        let cold = execute_with(&request, Some(&cache), None).expect("place");
+        assert_eq!(cold.cache, CacheDisposition::Miss);
+        let repeat = PlaceRequest::new(&relabelled, &env).config(config);
+        assert_eq!(repeat.cache_key(), request.cache_key());
+        let warm = execute_with(&repeat, Some(&cache), None).expect("place");
+        assert_eq!(warm.cache, CacheDisposition::Hit { remapped: true });
+        assert_eq!(warm.outcome.runtime, cold.outcome.runtime);
+        // The remap renames logical qubits only: relabelled qubit n-1-q
+        // sits where the cold placement put original qubit q.
+        let (cold_first, warm_first) = (
+            cold.outcome.initial_placement(),
+            warm.outcome.initial_placement(),
+        );
+        for q in 0..n {
+            assert_eq!(
+                warm_first.physical(Qubit::new(n - 1 - q)),
+                cold_first.physical(Qubit::new(q))
+            );
+        }
+        assert_eq!((cache.hits(), cache.misses(), cache.remapped()), (1, 1, 1));
     }
 
     #[test]

@@ -43,6 +43,38 @@ fn random_circuit(n: usize, gates: usize, seed: u64) -> Circuit {
     b.build()
 }
 
+/// Disjoint rings of `zz` couplings with the given lengths, the gates in
+/// an order shuffled by `seed`. Every qubit has degree 2, so
+/// Weisfeiler–Leman refinement cannot tell any two qubits apart.
+fn ring_union(lengths: &[usize], seed: u64) -> Circuit {
+    let mut edges = Vec::new();
+    let mut base = 0;
+    for &len in lengths {
+        edges.extend((0..len).map(|i| (base + i, base + (i + 1) % len)));
+        base += len;
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..edges.len()).rev() {
+        edges.swap(i, rng.gen_range(0..=i));
+    }
+    let mut b = Circuit::builder(base);
+    for (a, c) in edges {
+        b.gate(Gate::zz(Qubit::new(a), Qubit::new(c), 90.0));
+    }
+    b.build()
+}
+
+/// The input of the circuit-canonicalization properties: a random
+/// NMR-basis circuit (`shape` 0), three equal rings (`shape` 1), or
+/// rings of mixed lengths (`shape` 2).
+fn canonical_input(shape: usize, n: usize, gates: usize, seed: u64) -> Circuit {
+    match shape {
+        0 => random_circuit(n, gates, seed),
+        1 => ring_union(&[n + 1; 3], seed),
+        _ => ring_union(&[3, n + 1, n + 1, n + 2], seed),
+    }
+}
+
 fn random_env(n: usize, seed: u64) -> Environment {
     molecules::random_molecule(n, seed)
 }
@@ -406,16 +438,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Cache-keying soundness on whole circuits (not just interaction
-    // graphs): relabelling the qubits of a random NMR-basis circuit by any
-    // permutation never changes its exact canonical fingerprint, and the
-    // canonical witness order is always a permutation of the qubits.
+    // graphs): relabelling the qubits of a random NMR-basis circuit or a
+    // WL-hard ring union by any permutation never changes its exact
+    // canonical fingerprint, and the canonical witness order is always a
+    // permutation of the qubits.
     #[test]
     fn canonical_circuit_fingerprint_is_relabeling_invariant(
         seed in any::<u64>(),
+        shape in 0usize..3,
         n in 2usize..8,
         gates in 1usize..24,
     ) {
-        let circuit = random_circuit(n, gates, seed);
+        let circuit = canonical_input(shape, n, gates, seed);
+        let n = circuit.qubit_count();
         let base = CanonicalCircuit::of(&circuit);
         prop_assert_eq!(base.order.len(), n);
         let mut sorted: Vec<usize> = base.order.iter().map(|q| q.index()).collect();
@@ -428,7 +463,6 @@ proptest! {
             let relabelled = circuit.map_qubits(n, |q| Qubit::new(perm[q.index()]));
             let other = CanonicalCircuit::of(&relabelled);
             prop_assert_eq!(other.fingerprint, base.fingerprint);
-            prop_assert_eq!(other.graph_fingerprint, base.graph_fingerprint);
         }
     }
 
@@ -437,10 +471,12 @@ proptest! {
     #[test]
     fn canonical_circuit_fingerprint_separates_appended_gates(
         seed in any::<u64>(),
+        shape in 0usize..3,
         n in 2usize..8,
         gates in 1usize..16,
     ) {
-        let circuit = random_circuit(n, gates, seed);
+        let circuit = canonical_input(shape, n, gates, seed);
+        let n = circuit.qubit_count();
         let base = CanonicalCircuit::of(&circuit).fingerprint;
         let mut b = Circuit::builder(n);
         for gate in circuit.gates() {

@@ -38,6 +38,12 @@ use crate::http::{self, Limits, Request, RequestError};
 use crate::json::{array_usize, Obj};
 use crate::wire::{error_body, ErrorKind};
 
+/// Request-head cap in bytes (`431` beyond it).
+const MAX_HEADER_BYTES: usize = 8 * 1024;
+
+/// Socket write timeout for responses.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Server configuration; start with [`ServeConfig::default`] and chain
 /// the builders.
 #[derive(Clone, Debug)]
@@ -51,13 +57,9 @@ pub struct ServeConfig {
     /// Request-body cap in bytes (`413` beyond it, before the body is
     /// read).
     pub max_body_bytes: usize,
-    /// Request-head cap in bytes (`431` beyond it).
-    pub max_header_bytes: usize,
     /// Absolute deadline for receiving a request head or body — the
     /// slowloris bound.
     pub read_timeout: Duration,
-    /// Socket write timeout for responses.
-    pub write_timeout: Duration,
     /// Placement deadline applied when the request names none, in ms.
     pub default_budget_ms: u64,
     /// Hard ceiling on any requested placement deadline, in ms.
@@ -88,9 +90,7 @@ impl Default for ServeConfig {
             workers: 0,
             queue_depth: 64,
             max_body_bytes: 256 * 1024,
-            max_header_bytes: 8 * 1024,
             read_timeout: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(2),
             default_budget_ms: 2_000,
             max_budget_ms: 30_000,
             min_budget_ms: 25,
@@ -191,7 +191,7 @@ impl ServeConfig {
 
     fn limits(&self) -> Limits {
         Limits {
-            max_header_bytes: self.max_header_bytes,
+            max_header_bytes: MAX_HEADER_BYTES,
             max_body_bytes: self.max_body_bytes,
             header_deadline: self.read_timeout,
             body_deadline: self.read_timeout,
@@ -247,6 +247,29 @@ pub struct StatsSnapshot {
     /// Cache hits that needed a witness remap onto the requester's
     /// qubit labels (an isomorphic, not identical, repeat).
     pub cache_remapped: u64,
+}
+
+impl StatsSnapshot {
+    /// Every counter as a `(name, value)` pair, in field order. `/healthz`
+    /// and the `qcp serve` drain line both render from this list.
+    pub fn counters(&self) -> [(&'static str, u64); 14] {
+        [
+            ("accepted", self.accepted),
+            ("served_ok", self.served_ok),
+            ("client_errors", self.client_errors),
+            ("shed", self.shed),
+            ("oversize", self.oversize),
+            ("slow_clients", self.slow_clients),
+            ("panics", self.panics),
+            ("budget_exhausted", self.budget_exhausted),
+            ("resolved_exact", self.resolved_exact),
+            ("resolved_fallback", self.resolved_fallback),
+            ("resolved_degraded", self.resolved_degraded),
+            ("cache_hits", self.cache_hits),
+            ("cache_misses", self.cache_misses),
+            ("cache_remapped", self.cache_remapped),
+        ]
+    }
 }
 
 struct Shared {
@@ -433,19 +456,14 @@ fn acceptor_loop(shared: &Shared, listener: &TcpListener) {
                 shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                 let _ = stream.set_nonblocking(false);
                 if shared.is_draining() {
-                    quick_reject(shared, stream, ErrorKind::Draining, "server is draining");
+                    quick_reject(stream, ErrorKind::Draining, "server is draining");
                     break;
                 }
                 let mut queue = shared.queue();
                 if queue.len() >= shared.config.queue_depth {
                     drop(queue);
                     shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    quick_reject(
-                        shared,
-                        stream,
-                        ErrorKind::Overload,
-                        "queue full; retry later",
-                    );
+                    quick_reject(stream, ErrorKind::Overload, "queue full; retry later");
                 } else {
                     queue.push_back(stream);
                     drop(queue);
@@ -463,8 +481,8 @@ fn acceptor_loop(shared: &Shared, listener: &TcpListener) {
     shared.available.notify_all();
 }
 
-fn quick_reject(shared: &Shared, mut stream: TcpStream, kind: ErrorKind, message: &str) {
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+fn quick_reject(mut stream: TcpStream, kind: ErrorKind, message: &str) {
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     if http::write_response(
         &mut stream,
         kind.status(),
@@ -526,7 +544,7 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn serve_connection(shared: &Shared, mut stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let request = match http::read_request(&mut stream, &shared.config.limits()) {
         Ok(r) => r,
         Err(RequestError::Disconnected) => return,
@@ -609,23 +627,10 @@ fn route(shared: &Shared, request: &Request, stream: &mut TcpStream) {
 }
 
 fn healthz_body(shared: &Shared) -> String {
-    let s = shared.snapshot();
     let mut stats = Obj::new();
-    stats
-        .u64("accepted", s.accepted)
-        .u64("served_ok", s.served_ok)
-        .u64("client_errors", s.client_errors)
-        .u64("shed", s.shed)
-        .u64("oversize", s.oversize)
-        .u64("slow_clients", s.slow_clients)
-        .u64("panics", s.panics)
-        .u64("budget_exhausted", s.budget_exhausted)
-        .u64("resolved_exact", s.resolved_exact)
-        .u64("resolved_fallback", s.resolved_fallback)
-        .u64("resolved_degraded", s.resolved_degraded)
-        .u64("cache_hits", s.cache_hits)
-        .u64("cache_misses", s.cache_misses)
-        .u64("cache_remapped", s.cache_remapped);
+    for (name, value) in shared.snapshot().counters() {
+        stats.u64(name, value);
+    }
     let mut o = Obj::new();
     o.bool("ok", true)
         .bool("draining", shared.is_draining())
@@ -1016,6 +1021,25 @@ mod tests {
         assert_eq!(drained.status, 200);
         let stats = server.join();
         assert_eq!(stats.served_ok, 1);
+    }
+
+    #[test]
+    fn healthz_body_layout_is_pinned() {
+        // Clients parse these bytes: perfbench reads the cache and shed
+        // counters and `queued`, and CI greps `"cache_hits":1`.
+        let server = Server::start(ServeConfig::default().addr("127.0.0.1:0").workers(1))
+            .expect("bind 127.0.0.1:0");
+        let health = chaos::get(server.local_addr(), "/healthz").unwrap();
+        assert_eq!(
+            health.body,
+            "{\"ok\":true,\"draining\":false,\"workers\":1,\"queue_depth\":64,\"queued\":0,\
+             \"active\":1,\"stats\":{\"accepted\":1,\"served_ok\":0,\"client_errors\":0,\
+             \"shed\":0,\"oversize\":0,\"slow_clients\":0,\"panics\":0,\"budget_exhausted\":0,\
+             \"resolved_exact\":0,\"resolved_fallback\":0,\"resolved_degraded\":0,\
+             \"cache_hits\":0,\"cache_misses\":0,\"cache_remapped\":0}}"
+        );
+        server.drain();
+        server.join();
     }
 
     #[test]

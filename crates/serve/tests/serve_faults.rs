@@ -141,6 +141,73 @@ fn corpus_files_posted_verbatim_place() {
 }
 
 #[test]
+fn oversized_topology_specs_are_rejected_and_the_daemon_keeps_serving() {
+    // A device spec is parsed before anything is allocated for it: the
+    // dense coupling table of `line:100000` alone would need 40 GB.
+    let server = chaos_server(ServeConfig::default().workers(1));
+    let addr = server.local_addr();
+    for env in ["line:100000", "grid:4294967296x4294967296"] {
+        let reply =
+            chaos::post(addr, &format!("/place?circuit=qec3&env={env}"), &[], "").expect("post");
+        assert_eq!(reply.status, 400, "{env}: {}", reply.body);
+        assert!(
+            reply.body.contains("more than 4096 qubits"),
+            "{env}: {}",
+            reply.body
+        );
+        assert_recovered(&server);
+    }
+
+    server.drain();
+    let stats = server.join();
+    assert_eq!(stats.client_errors, 2);
+    assert_eq!(stats.served_ok, 2);
+}
+
+/// OpenQASM for `rings` disjoint rings of `len` `cz` gates: every qubit
+/// has the same Weisfeiler–Leman colour in the interaction graph.
+fn ring_union_qasm(rings: usize, len: usize) -> String {
+    let mut text = format!(
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{}];\n",
+        rings * len
+    );
+    for r in 0..rings {
+        for i in 0..len {
+            text += &format!("cz q[{}],q[{}];\n", r * len + i, r * len + (i + 1) % len);
+        }
+    }
+    text
+}
+
+#[test]
+fn symmetric_circuit_too_wide_for_the_device_is_answered_within_its_budget() {
+    // 16 rings of 32 on 512 qubits (a 9 KB body) cannot fit a 6-qubit
+    // device. The answer must come from the width check, not after a
+    // canonicalization that runs longer than the request's budget.
+    let server = chaos_server(ServeConfig::default().workers(1));
+    let body = ring_union_qasm(16, 32);
+    let start = Instant::now();
+    let reply = chaos::post(
+        server.local_addr(),
+        "/place?env=grid:2x3&budget_ms=50",
+        &[],
+        &body,
+    )
+    .expect("post");
+    let elapsed = start.elapsed();
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(reply.body.contains("needs 512 qubits"), "{}", reply.body);
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "answered after {elapsed:?}"
+    );
+    assert_recovered(&server);
+
+    server.drain();
+    server.join();
+}
+
+#[test]
 fn oversized_payloads_are_rejected_before_the_body_is_read() {
     let server = chaos_server(ServeConfig::default().workers(1).max_body_bytes(1024));
     let addr = server.local_addr();

@@ -158,6 +158,49 @@ proptest! {
     }
 }
 
+/// Places `circuit` on `spec` cold through a fresh cache, then executes
+/// its relabelling through `perm` against that cache with verification
+/// on: the repeat must be a cache hit whose remapped outcome certifies
+/// against the relabelled circuit.
+fn remapped_hit_certifies(name: &str, circuit: &Circuit, spec: &str, perm: &[usize]) {
+    use qcp_place::{execute_with, CacheDisposition, PlaceRequest, PlacementCache};
+    use qcp_verify::PlacementCertifier;
+
+    let env = build_env(spec);
+    let config = config_for(&env, Strategy::Exact);
+    let cache = PlacementCache::new(4);
+    let cold = execute_with(
+        &PlaceRequest::new(circuit, &env)
+            .config(config.clone())
+            .verify(true),
+        Some(&cache),
+        Some(&PlacementCertifier),
+    )
+    .unwrap_or_else(|e| panic!("{name}@{spec} cold: {e}"));
+    assert_eq!(cold.cache, CacheDisposition::Miss, "{name}@{spec}");
+    assert!(cold.certificate.is_some(), "{name}@{spec}");
+
+    // The executor certifies the remapped outcome before returning it.
+    let n = circuit.qubit_count();
+    let relabelled = circuit.map_qubits(n, |q| qcp_circuit::Qubit::new(perm[q.index()]));
+    let warm = execute_with(
+        &PlaceRequest::new(&relabelled, &env)
+            .config(config)
+            .verify(true),
+        Some(&cache),
+        Some(&PlacementCertifier),
+    )
+    .unwrap_or_else(|e| panic!("{name}@{spec} warm: {e}"));
+    assert!(
+        matches!(warm.cache, CacheDisposition::Hit { .. }),
+        "{name}@{spec}: {:?}",
+        warm.cache
+    );
+    let summary = warm.certificate.expect("warm certificate");
+    assert!(summary.starts_with("certified:"), "{summary}");
+    assert_eq!(warm.outcome.runtime, cold.outcome.runtime, "{name}@{spec}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -166,40 +209,46 @@ proptest! {
     // certify from first principles against the *relabelled* circuit.
     #[test]
     fn remapped_cache_hits_certify_across_corpus(seed in any::<u64>()) {
-        use qcp_place::{execute_with, CacheDisposition, PlaceRequest, PlacementCache};
-        use qcp_verify::PlacementCertifier;
-
         let cases = corpus();
         let (stem, circuit) = &cases[(seed as usize) % cases.len()];
         let spec = TOPOLOGIES[(seed as usize / 7) % TOPOLOGIES.len()];
-        let env = build_env(spec);
-        let config = config_for(&env, Strategy::Exact);
-        let cache = PlacementCache::new(4);
-
-        let cold = execute_with(
-            &PlaceRequest::new(circuit, &env).config(config.clone()).verify(true),
-            Some(&cache),
-            Some(&PlacementCertifier),
-        )
-        .unwrap_or_else(|e| panic!("{stem}@{spec} cold: {e}"));
-        prop_assert_eq!(cold.cache, CacheDisposition::Miss);
-        prop_assert!(cold.certificate.is_some());
-
-        // Random relabelling, then the warm request with verification on:
-        // the executor certifies the remapped outcome before returning it.
-        let n = circuit.qubit_count();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let perm = qcp_graph::generate::random_permutation(n, &mut rng);
-        let relabelled = circuit.map_qubits(n, |q| qcp_circuit::Qubit::new(perm[q.index()]));
-        let warm = execute_with(
-            &PlaceRequest::new(&relabelled, &env).config(config).verify(true),
-            Some(&cache),
-            Some(&PlacementCertifier),
-        )
-        .unwrap_or_else(|e| panic!("{stem}@{spec} warm: {e}"));
-        prop_assert!(matches!(warm.cache, CacheDisposition::Hit { .. }), "{:?}", warm.cache);
-        let summary = warm.certificate.expect("warm certificate");
-        prop_assert!(summary.starts_with("certified:"), "{summary}");
-        prop_assert_eq!(warm.outcome.runtime, cold.outcome.runtime);
+        let perm = qcp_graph::generate::random_permutation(circuit.qubit_count(), &mut rng);
+        remapped_hit_certifies(stem, circuit, spec, &perm);
+    }
+}
+
+/// Disjoint rings of `zz` couplings with the given lengths: every qubit
+/// has degree 2, so Weisfeiler–Leman refinement cannot tell any two
+/// qubits apart.
+fn ring_union(lengths: &[usize]) -> Circuit {
+    let mut b = Circuit::builder(lengths.iter().sum());
+    let mut base = 0;
+    for &len in lengths {
+        for i in 0..len {
+            b.gate(qcp_circuit::Gate::zz(
+                qcp_circuit::Qubit::new(base + i),
+                qcp_circuit::Qubit::new(base + (i + 1) % len),
+                90.0,
+            ));
+        }
+        base += len;
+    }
+    b.build()
+}
+
+#[test]
+fn remapped_ring_union_hits_certify() {
+    for lengths in [[4, 4, 4], [3, 4, 5]] {
+        let circuit = ring_union(&lengths);
+        let n = circuit.qubit_count();
+        let name = format!("rings{lengths:?}");
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        let rotated: Vec<usize> = (0..n).map(|i| (i + 5) % n).collect();
+        for spec in TOPOLOGIES {
+            for perm in [&reversed, &rotated] {
+                remapped_hit_certifies(&name, &circuit, spec, perm);
+            }
+        }
     }
 }

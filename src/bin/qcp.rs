@@ -138,7 +138,7 @@ fn run() -> ExitCode {
         Some("serve") => finish(run_serve(&args[1..])),
         _ => {
             eprintln!(
-                "usage: qcp <molecules|circuits|place|batch|lint> [options]\n\
+                "usage: qcp <molecules|circuits|place|batch|lint|serve> [options]\n\
                  place options:\n\
                  \x20 --circuit <name|file>   circuit (library name, *.qasm, or text file)\n\
                  \x20 --qasm <file>           circuit as an OpenQASM 2.0 file\n\
@@ -701,22 +701,13 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         });
     }
 
-    let stats = server.join();
-    println!(
-        "qcp serve: drained; ok={} client_errors={} shed={} oversize={} \
-         slow_clients={} panics={} budget_exhausted={} \
-         cache_hits={} cache_misses={} cache_remapped={}",
-        stats.served_ok,
-        stats.client_errors,
-        stats.shed,
-        stats.oversize,
-        stats.slow_clients,
-        stats.panics,
-        stats.budget_exhausted,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_remapped
-    );
+    let counters: Vec<String> = server
+        .join()
+        .counters()
+        .iter()
+        .map(|(name, value)| format!("{name}={value}"))
+        .collect();
+    println!("qcp serve: drained; {}", counters.join(" "));
     Ok(())
 }
 

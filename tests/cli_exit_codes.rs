@@ -90,6 +90,31 @@ fn input_errors_are_exit_two() {
 }
 
 #[test]
+fn oversized_topologies_are_exit_two() {
+    // A device too large to build is rejected when its spec is parsed,
+    // before anything is allocated for its coupling table.
+    for args in [
+        ["place", "--circuit", "qec3", "--topology", "line:100000"],
+        ["place", "--circuit", "qec3", "--env", "line:100000"],
+        [
+            "batch",
+            "--circuits",
+            "qec3",
+            "--envs",
+            "grid:100000x100000",
+        ],
+    ] {
+        let out = qcp(&args);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("more than 4096 qubits"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
 fn budget_exhaustion_is_exit_three() {
     let out = qcp(&[
         "place",
@@ -184,4 +209,49 @@ fn serve_rejects_bad_flags_with_exit_two() {
     assert_eq!(exit_code(&out), 2, "{}", stderr(&out));
     let out = qcp(&["serve", "--addr", "definitely:not:an:addr"]);
     assert_eq!(exit_code(&out), 2, "{}", stderr(&out));
+}
+
+#[test]
+fn serve_drains_with_exit_zero_and_prints_every_counter() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qcp"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn qcp serve");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("banner");
+    let addr = banner
+        .split("http://")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"))
+        .to_string();
+
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .write_all(b"POST /admin/drain HTTP/1.1\r\nhost: qcp\r\ncontent-length: 0\r\n\r\n")
+        .expect("send drain");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("drain reply");
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).expect("read log");
+    let status = child.wait().expect("wait");
+    assert_eq!(status.code(), Some(0), "{rest}");
+    // The drain line renders the same counter table as `/healthz`, in
+    // the same order and under the same names.
+    assert!(
+        rest.contains(
+            "qcp serve: drained; accepted=1 served_ok=0 client_errors=0 shed=0 oversize=0 \
+             slow_clients=0 panics=0 budget_exhausted=0 resolved_exact=0 resolved_fallback=0 \
+             resolved_degraded=0 cache_hits=0 cache_misses=0 cache_remapped=0\n"
+        ),
+        "{rest}"
+    );
 }
