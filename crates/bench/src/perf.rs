@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use qcp_circuit::library;
 use qcp_env::topologies::{self, Delays};
 use qcp_env::{molecules, Threshold};
-use qcp_graph::vf2::MonomorphismFinder;
+use qcp_graph::vf2::{Budget, MonomorphismFinder};
 use qcp_graph::{generate, Graph};
 use qcp_place::baselines::exhaustive_placement;
 use qcp_place::cost::CostModel;
@@ -139,10 +139,17 @@ pub fn run_suites(quick: bool) -> Vec<PerfCase> {
     for (name, pattern, target, limit) in mono {
         case("mono", name, &mut || match limit {
             Some(k) => {
-                black_box(MonomorphismFinder::new(pattern, target).limit(k).find_all());
+                black_box(
+                    MonomorphismFinder::new(pattern, target)
+                        .limit(k)
+                        .collect_budgeted(&mut Budget::unlimited(), None),
+                );
             }
             None => {
-                black_box(MonomorphismFinder::new(pattern, target).exists());
+                black_box(
+                    MonomorphismFinder::new(pattern, target)
+                        .exists_budgeted(&mut Budget::unlimited()),
+                );
             }
         });
     }

@@ -229,16 +229,16 @@ pub fn from_coupling_list(
     b.build()
 }
 
-/// Largest device a parsed [`TopologySpec`] may describe. An
-/// [`Environment`] stores a dense `n(n+1)/2` coupling table, so a spec
-/// that arrives on the command line or in a network request must not
-/// name an arbitrary size; the largest device in the repository's
-/// workloads is `grid:8x8`.
-const MAX_QUBITS: usize = 4096;
+/// Largest device a parsed [`TopologySpec`] may describe. Setting up a
+/// device (its dense coupling table, automorphisms and all-pairs hop
+/// distances) runs before any search budget is charged, so a spec from
+/// the command line or a network request must stay small. The largest
+/// workload device is `grid:8x8`; `heavy_hex:13` (403 qubits) fits.
+const MAX_QUBITS: usize = 512;
 
 /// A parsed device-topology specifier, the CLI's `--topology` argument.
 ///
-/// Recognized spellings (case-sensitive, sizes in decimal, at most 4096
+/// Recognized spellings (case-sensitive, sizes in decimal, at most 512
 /// qubits):
 ///
 /// | Spec | Device |
@@ -483,24 +483,26 @@ mod tests {
 
     #[test]
     fn spec_rejects_devices_over_the_qubit_cap() {
-        for text in ["line:4096", "grid:64x64", "heavy_hex:39"] {
+        for text in ["line:512", "grid:16x32", "heavy_hex:13"] {
             let spec: TopologySpec = text.parse().unwrap();
             assert!(spec.qubit_count() <= MAX_QUBITS, "{text}");
         }
         for text in [
-            "line:4097",
+            "line:513",
+            "line:4096",
             "ring:100000",
             "star:18446744073709551615",
-            "grid:64x65",
+            "grid:16x33",
             // rows × cols overflows a 64-bit usize.
             "grid:4294967296x4294967296",
-            "heavy_hex:41",
+            // d(5d-3)/2 = 540.
+            "heavy_hex:15",
             // 5d overflows before the product does.
             "heavy_hex:9999999999999999999",
         ] {
             let err = text.parse::<TopologySpec>().unwrap_err();
             assert!(
-                err.to_string().contains("more than 4096 qubits"),
+                err.to_string().contains("more than 512 qubits"),
                 "{text}: {err}"
             );
         }

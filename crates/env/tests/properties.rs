@@ -151,7 +151,8 @@ proptest! {
             0 => TopologySpec::Line(a),
             1 => TopologySpec::Ring(a.max(3)),
             2 => TopologySpec::Grid(a, b),
-            3 => TopologySpec::HeavyHex(2 * a + 1),
+            // Odd distances 3..=13; heavy_hex:15 is over the qubit cap.
+            3 => TopologySpec::HeavyHex(2 * (1 + a % 6) + 1),
             _ => TopologySpec::Star(a),
         };
         let reparsed: TopologySpec = spec.to_string().parse().unwrap();

@@ -22,12 +22,13 @@
 //! # Example
 //!
 //! ```
-//! use qcp_graph::{Graph, vf2::MonomorphismFinder};
+//! use qcp_graph::{Graph, vf2::{Budget, MonomorphismFinder}};
 //!
 //! // A 3-vertex chain pattern embeds into a 4-cycle in 8 ways.
 //! let pattern = Graph::from_edges(3, [(0, 1), (1, 2)])?;
 //! let target = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])?;
-//! let maps = MonomorphismFinder::new(&pattern, &target).find_all();
+//! let (maps, _) = MonomorphismFinder::new(&pattern, &target)
+//!     .collect_budgeted(&mut Budget::unlimited(), None);
 //! assert_eq!(maps.len(), 8);
 //! # Ok::<(), qcp_graph::GraphError>(())
 //! ```

@@ -8,8 +8,14 @@ use rand::SeedableRng;
 use qcp_graph::bisection::{balanced_connected_bisection, worst_recursive_ratio};
 use qcp_graph::hamiltonian::{find_hamiltonian_cycle, is_hamiltonian_cycle};
 use qcp_graph::traversal::{bfs_distances, connected_components, is_connected, shortest_path};
-use qcp_graph::vf2::{is_monomorphism, MonomorphismFinder};
+use qcp_graph::vf2::{is_monomorphism, Budget, MonomorphismFinder};
 use qcp_graph::{canonical, generate, Graph, NodeId};
+
+/// Every monomorphism up to the finder's limit, through the metered
+/// kernel production runs, under an unlimited meter.
+fn all_maps(finder: MonomorphismFinder<'_>) -> Vec<Vec<NodeId>> {
+    finder.collect_budgeted(&mut Budget::unlimited(), None).0
+}
 
 /// Naive adjacency model the CSR + bitset [`Graph`] must agree with.
 struct NaiveGraph {
@@ -280,14 +286,14 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let p = generate::random_tree(pn, &mut rng);
         let t = generate::random_connected(tn, 4, &mut rng);
-        for m in MonomorphismFinder::new(&p, &t).limit(50).find_all() {
+        for m in all_maps(MonomorphismFinder::new(&p, &t).limit(50)) {
             prop_assert!(is_monomorphism(&p, &t, &m));
         }
     }
 
     #[test]
     fn vf2_self_embedding_always_exists(g in arb_connected_graph(10)) {
-        prop_assert!(MonomorphismFinder::new(&g, &g).exists());
+        prop_assert!(!all_maps(MonomorphismFinder::new(&g, &g).limit(1)).is_empty());
     }
 
     #[test]
@@ -295,7 +301,7 @@ proptest! {
         let p = generate::chain(n);
         let t = generate::chain(m);
         // Exactly 2 * (m - n + 1) embeddings of a path into a longer path.
-        prop_assert_eq!(MonomorphismFinder::new(&p, &t).count(), 2 * (m - n + 1));
+        prop_assert_eq!(all_maps(MonomorphismFinder::new(&p, &t)).len(), 2 * (m - n + 1));
     }
 
     #[test]
@@ -392,9 +398,8 @@ proptest! {
         // Both the solution set AND the enumeration order must match the
         // pre-refactor search (Table 3 depends on a stable enumeration order).
         let expect = oracle::find_all(&p, &t, limit);
-        let got = MonomorphismFinder::new(&p, &t).limit(limit).find_all();
+        let got = all_maps(MonomorphismFinder::new(&p, &t).limit(limit));
         prop_assert_eq!(&got, &expect, "pattern {:?} target {:?}", p, t);
-        prop_assert_eq!(MonomorphismFinder::new(&p, &t).limit(limit).count(), expect.len());
         for m in &got {
             prop_assert!(is_monomorphism(&p, &t, m));
         }
@@ -417,7 +422,7 @@ proptest! {
         let p = generate::gnp(pn, pp, &mut rng);
         let t = generate::gnp(tn, tp, &mut rng);
         let expect = oracle::find_all(&p, &t, limit);
-        let got = MonomorphismFinder::new(&p, &t).limit(limit).find_all();
+        let got = all_maps(MonomorphismFinder::new(&p, &t).limit(limit));
         prop_assert_eq!(&got, &expect, "pattern {:?} target {:?}", p, t);
         for m in &got {
             prop_assert!(is_monomorphism(&p, &t, m));
@@ -461,7 +466,7 @@ proptest! {
         let mut map = vec![None; p.node_count()];
         let mut used = vec![false; t.node_count()];
         prop_assert_eq!(
-            MonomorphismFinder::new(&p, &t).count(),
+            all_maps(MonomorphismFinder::new(&p, &t)).len(),
             brute(&p, &t, &mut map, &mut used, 0),
             "pattern {:?} target {:?}", p, t
         );
@@ -480,13 +485,11 @@ proptest! {
         let p = generate::random_tree(pn, &mut rng);
         let big = generate::chain(80);
         let small = generate::chain(60);
-        let from_big: Vec<_> = MonomorphismFinder::new(&p, &big)
-            .limit(40)
-            .find_all()
+        let from_big: Vec<_> = all_maps(MonomorphismFinder::new(&p, &big).limit(40))
             .into_iter()
             .filter(|m| m.iter().all(|v| v.index() < 60))
             .collect();
-        let from_small = MonomorphismFinder::new(&p, &small).limit(40).find_all();
+        let from_small = all_maps(MonomorphismFinder::new(&p, &small).limit(40));
         // Every small-kernel solution appears in the big-kernel stream
         // (possibly truncated differently by the limit); compare prefixes.
         let common = from_big.len().min(from_small.len());
@@ -499,11 +502,11 @@ proptest! {
         pn in 2usize..=5,
         cap in 0u64..400,
     ) {
-        use qcp_graph::vf2::{Budget, Outcome};
+        use qcp_graph::vf2::Outcome;
         let mut rng = StdRng::seed_from_u64(seed);
         let p = generate::random_tree(pn, &mut rng);
         let t = generate::random_connected(9, 4, &mut rng);
-        let all = MonomorphismFinder::new(&p, &t).find_all();
+        let all = oracle::find_all(&p, &t, usize::MAX);
         let mut budget = Budget::max_nodes(cap);
         let mut got: Vec<Vec<NodeId>> = Vec::new();
         let run = MonomorphismFinder::new(&p, &t).for_each_budgeted(&mut budget, &mut |m| {

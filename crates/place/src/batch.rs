@@ -416,8 +416,7 @@ fn place_one(
         // per-job Internal error).
         #[cfg(debug_assertions)]
         if let Ok(o) = &outcome {
-            let placer = crate::Placer::new(request.environment(), request.placer_config().clone());
-            crate::strategy::debug_check_outcome(&placer, request.circuit(), o);
+            crate::strategy::debug_check_outcome(request.environment(), request.circuit(), o);
         }
         outcome
     }))

@@ -361,10 +361,11 @@ struct CacheInner {
 ///
 /// Eviction is least-recently-used via a tick counter; the eviction
 /// scan is `O(len)` but `len` is bounded by the configured capacity
-/// (hundreds at most), so it is noise next to a placement. Capacity 0
-/// disables the cache entirely: every lookup misses and inserts are
-/// dropped. Counters are atomics so readers (stats endpoints) never
-/// contend with the map lock.
+/// (hundreds at most), so it is noise next to a placement. A cache
+/// always holds at least one entry; a caller that wants no caching
+/// passes no cache to [`execute_with`](crate::execute_with). Counters
+/// are atomics so readers (stats endpoints) never contend with the map
+/// lock.
 pub struct PlacementCache {
     inner: Mutex<CacheInner>,
     capacity: usize,
@@ -385,21 +386,21 @@ impl std::fmt::Debug for PlacementCache {
 }
 
 impl PlacementCache {
-    /// A cache holding at most `capacity` outcomes (0 disables caching).
+    /// A cache holding at most `capacity` outcomes (at least one).
     pub fn new(capacity: usize) -> PlacementCache {
         PlacementCache {
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
                 tick: 0,
             }),
-            capacity,
+            capacity: capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             remapped: AtomicU64::new(0),
         }
     }
 
-    /// Configured capacity (0 = disabled).
+    /// Maximum number of cached outcomes.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -445,10 +446,6 @@ impl PlacementCache {
         key: CacheKey,
         request_order: &[Qubit],
     ) -> Option<(PlacementOutcome, bool)> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -477,12 +474,8 @@ impl PlacementCache {
     }
 
     /// Stores an outcome under `key` with its witness order, evicting
-    /// the least-recently-used entry if at capacity. No-op when the
-    /// cache is disabled.
+    /// the least-recently-used entry if at capacity.
     pub fn insert(&self, key: CacheKey, order: Vec<Qubit>, outcome: PlacementOutcome) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -664,19 +657,28 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn capacity_zero_disables() {
+    fn capacity_zero_is_clamped_to_one_entry() {
         let cache = PlacementCache::new(0);
+        assert_eq!(cache.capacity(), 1);
         let env = molecules::acetyl_chloride();
         let config = PlacerConfig::with_threshold(Threshold::new(100.0));
-        let circuit = library::qec3_encoder();
-        let canon = CanonicalCircuit::of(&circuit);
-        let key = cache_key(&canon, &env, &config);
-        let outcome = crate::Placer::new(&env, config)
-            .place(&circuit)
-            .expect("place");
-        cache.insert(key, canon.order.clone(), outcome);
-        assert!(cache.lookup(key, &canon.order).is_none());
-        assert_eq!(cache.len(), 0);
+        let placer = crate::Placer::new(&env, config.clone());
+        let mut keys = Vec::new();
+        for circuit in [library::qec3_encoder(), library::pseudo_cat(3)] {
+            let canon = CanonicalCircuit::of(&circuit);
+            let key = cache_key(&canon, &env, &config);
+            cache.insert(
+                key,
+                canon.order.clone(),
+                placer.place(&circuit).expect("place"),
+            );
+            // The newest entry is always kept.
+            assert!(cache.lookup(key, &canon.order).is_some());
+            assert_eq!(cache.len(), 1);
+            keys.push((key, canon.order));
+        }
+        // The second insert evicted the first.
+        assert!(cache.lookup(keys[0].0, &keys[0].1).is_none());
     }
 
     #[test]

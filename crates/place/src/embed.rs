@@ -9,39 +9,6 @@ use qcp_graph::{Graph, NodeId};
 
 use crate::{PlaceError, Placement, Result};
 
-/// Enumerates up to `k` total placements whose restriction to the
-/// workspace's interacting qubits is a monomorphism of `interaction` into
-/// `fast` (the paper uses `k = 100`).
-///
-/// Qubits without two-qubit gates in the workspace are *completed*: they
-/// keep their position from `previous` when it is still free, otherwise
-/// they move to the nearest free nucleus (BFS over the fast graph), so the
-/// permutation between consecutive stages stays as small as possible.
-///
-/// When the workspace has no two-qubit gates at all, the single candidate
-/// is `previous` itself (or an identity-like assignment for the first
-/// stage).
-///
-/// # Errors
-///
-/// Propagates placement-construction failures (which indicate an internal
-/// inconsistency — enumerated monomorphisms are injective by construction).
-pub fn candidate_placements(
-    interaction: &Graph,
-    fast: &Graph,
-    previous: Option<&Placement>,
-    k: usize,
-) -> Result<Vec<Placement>> {
-    candidate_placements_searched(
-        interaction,
-        fast,
-        previous,
-        k,
-        &mut vf2::Budget::unlimited(),
-        &SearchOptions::default(),
-    )
-}
-
 /// Knobs for the monomorphism search behind candidate enumeration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchOptions<'o> {
@@ -57,15 +24,31 @@ pub struct SearchOptions<'o> {
     pub root_orbits: Option<&'o [usize]>,
 }
 
-/// [`candidate_placements`] under a search budget and [`SearchOptions`]:
-/// the monomorphism enumeration charges the shared `meter` per visited
-/// search node and the call fails with [`PlaceError::BudgetExhausted`] if
-/// the meter trips before the enumeration finishes (exactness is
-/// all-or-nothing; the anytime strategies catch the error and fall back).
+/// Enumerates up to `k` total placements whose restriction to the
+/// workspace's interacting qubits is a monomorphism of `interaction` into
+/// `fast` (the paper uses `k = 100`).
+///
+/// Qubits without two-qubit gates in the workspace are *completed*: they
+/// keep their position from `previous` when it is still free, otherwise
+/// they move to the nearest free nucleus (BFS over the fast graph), so the
+/// permutation between consecutive stages stays as small as possible.
+///
+/// When the workspace has no two-qubit gates at all, the single candidate
+/// is `previous` itself (or an identity-like assignment for the first
+/// stage).
+///
+/// The monomorphism enumeration charges the shared `meter` per visited
+/// search node (pass [`vf2::Budget::unlimited`] for no limit) and the call
+/// fails with [`PlaceError::BudgetExhausted`] if the meter trips before
+/// the enumeration finishes (exactness is all-or-nothing; the anytime
+/// strategies catch the error and fall back).
 ///
 /// # Errors
 ///
-/// As [`candidate_placements`], plus [`PlaceError::BudgetExhausted`].
+/// * [`PlaceError::BudgetExhausted`] if the meter trips;
+/// * placement-construction failures, which indicate an internal
+///   inconsistency (enumerated monomorphisms are injective by
+///   construction).
 pub fn candidate_placements_searched(
     interaction: &Graph,
     fast: &Graph,
@@ -203,11 +186,23 @@ mod tests {
         Graph::from_edges(n, edges.iter().copied()).unwrap()
     }
 
+    /// Candidate enumeration under an unlimited meter.
+    fn candidates(
+        ig: &Graph,
+        fast: &Graph,
+        previous: Option<&Placement>,
+        k: usize,
+    ) -> Vec<Placement> {
+        let mut meter = vf2::Budget::unlimited();
+        candidate_placements_searched(ig, fast, previous, k, &mut meter, &SearchOptions::default())
+            .unwrap()
+    }
+
     #[test]
     fn simple_edge_into_chain() {
         let ig = interaction(2, &[(0, 1)]);
         let fast = generate::chain(3);
-        let cands = candidate_placements(&ig, &fast, None, 100).unwrap();
+        let cands = candidates(&ig, &fast, None, 100);
         // Edge maps onto (0,1),(1,0),(1,2),(2,1); completion fills the rest.
         assert_eq!(cands.len(), 4);
         for c in &cands {
@@ -220,7 +215,7 @@ mod tests {
     fn limit_respected() {
         let ig = interaction(2, &[(0, 1)]);
         let fast = generate::complete(6);
-        let cands = candidate_placements(&ig, &fast, None, 7).unwrap();
+        let cands = candidates(&ig, &fast, None, 7);
         assert_eq!(cands.len(), 7);
     }
 
@@ -230,7 +225,7 @@ mod tests {
         let ig = interaction(4, &[(0, 1)]);
         let fast = generate::chain(6);
         let prev = Placement::new(vec![p(4), p(5), p(2), p(3)], 6).unwrap();
-        let cands = candidate_placements(&ig, &fast, Some(&prev), 100).unwrap();
+        let cands = candidates(&ig, &fast, Some(&prev), 100);
         for c in &cands {
             // Idle qubits stay put whenever their nucleus is free.
             let (c2, c3) = (c.physical(q(2)), c.physical(q(3)));
@@ -256,7 +251,7 @@ mod tests {
         let ig = interaction(3, &[(0, 2)]);
         let fast = generate::chain(4);
         let prev = Placement::new(vec![p(0), p(1), p(2)], 4).unwrap();
-        let cands = candidate_placements(&ig, &fast, Some(&prev), 100).unwrap();
+        let cands = candidates(&ig, &fast, Some(&prev), 100);
         for c in &cands {
             // Everybody placed, injectively (Placement guarantees it) and
             // q1 is at most 2 hops from its old home.
@@ -272,7 +267,7 @@ mod tests {
         let ig = interaction(3, &[]);
         let fast = generate::chain(5);
         let prev = Placement::new(vec![p(4), p(0), p(2)], 5).unwrap();
-        let cands = candidate_placements(&ig, &fast, Some(&prev), 100).unwrap();
+        let cands = candidates(&ig, &fast, Some(&prev), 100);
         assert_eq!(cands.len(), 1);
         assert!(cands[0].same_assignment(&prev));
     }
@@ -281,7 +276,7 @@ mod tests {
     fn infeasible_pattern_gives_no_candidates() {
         let ig = interaction(3, &[(0, 1), (1, 2), (0, 2)]); // triangle
         let fast = generate::chain(5);
-        let cands = candidate_placements(&ig, &fast, None, 100).unwrap();
+        let cands = candidates(&ig, &fast, None, 100);
         assert!(cands.is_empty());
     }
 
@@ -289,7 +284,7 @@ mod tests {
     fn candidates_are_valid_monomorphisms() {
         let ig = interaction(5, &[(0, 1), (1, 2), (1, 4)]);
         let fast = generate::caterpillar(4, 1);
-        let cands = candidate_placements(&ig, &fast, None, 50).unwrap();
+        let cands = candidates(&ig, &fast, None, 50);
         assert!(!cands.is_empty());
         for c in &cands {
             for (a, b, _) in ig.edges() {

@@ -77,9 +77,7 @@ pub use cost::{CostModel, ExecutionModel, PlacedGate, Schedule};
 pub use error::{FailureClass, PlaceError};
 pub use placement::Placement;
 pub use placer::{PlacementOutcome, Placer, PlacerConfig, Stage};
-pub use request::{
-    execute, execute_with, CacheDisposition, CachePolicy, Certifier, PlaceReport, PlaceRequest,
-};
+pub use request::{execute, execute_with, CacheDisposition, Certifier, PlaceReport, PlaceRequest};
 pub use router::{RouterConfig, SwapSchedule};
 pub use strategy::{
     AnnealConfig, ExactVf2, GreedyAnneal, Hybrid, PlacementStrategy, Resolution, SearchBudget,

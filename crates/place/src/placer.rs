@@ -221,8 +221,13 @@ pub struct Placer<'e> {
     /// cost-equivalent (see [`device_symmetry`]).
     symmetry: Option<Vec<usize>>,
     /// All-pairs hop distances on the routing graph, row-major `m × m`
-    /// (`u32::MAX` when unreachable). Feeds the stage lower bound.
+    /// (`u32::MAX` when unreachable). Feeds the stage lower bound and the
+    /// annealer.
     dist: Vec<u32>,
+    /// `parent[s * m + t]`: predecessor of `t` on the BFS tree of the
+    /// routing graph rooted at `s` (`u32::MAX` for the root and for
+    /// unreachable nodes). The annealer walks shortest routes with it.
+    parent: Vec<u32>,
     /// Cheapest possible cost of one mid-chain SWAP hop (see
     /// [`Placer::stage_lower_bound`]).
     min_swap_units: f64,
@@ -240,16 +245,7 @@ impl<'e> Placer<'e> {
         let fast = env.fast_graph(config.threshold);
         let routing = bridge_components(env, &fast);
         let symmetry = device_symmetry(env, &fast);
-        let m = routing.node_count();
-        let mut dist = vec![u32::MAX; m * m];
-        for v in 0..m {
-            let row = qcp_graph::traversal::bfs_distances(&routing, qcp_graph::NodeId::new(v));
-            for (u, d) in row.into_iter().enumerate() {
-                if let Some(d) = d {
-                    dist[v * m + u] = d;
-                }
-            }
-        }
+        let (dist, parent) = all_pairs_bfs(&routing);
         // A fresh-run SWAP costs `3 · W` capped at the reuse cap; mid-chain
         // hops always start fresh runs (the previous hop rewrote both
         // nuclei's last-pair records), so this is a true per-hop floor.
@@ -273,6 +269,7 @@ impl<'e> Placer<'e> {
             routing,
             symmetry,
             dist,
+            parent,
             min_swap_units,
         }
     }
@@ -297,6 +294,12 @@ impl<'e> Placer<'e> {
         &self.config
     }
 
+    /// The routing graph's all-pairs hop distances and BFS parents, both
+    /// row-major `m × m` (see the fields of the same names).
+    pub(crate) fn hop_tables(&self) -> (&[u32], &[u32]) {
+        (&self.dist, &self.parent)
+    }
+
     /// Places `circuit` with the configured [`Strategy`] and
     /// [`SearchBudget`], producing the staged computation and its runtime.
     ///
@@ -314,19 +317,9 @@ impl<'e> Placer<'e> {
         strategy_for(self.config.strategy).place(self, circuit)
     }
 
-    /// The budgeted exact pipeline, regardless of the configured strategy.
-    ///
-    /// # Errors
-    ///
-    /// As [`place`](Placer::place) under [`Strategy::Exact`].
-    pub fn place_exact(&self, circuit: &Circuit) -> Result<PlacementOutcome> {
-        let mut meter = self.config.budget.start();
-        self.place_exact_with(circuit, &mut meter)
-    }
-
-    /// The exact pipeline charging an externally owned budget meter (the
-    /// hybrid strategy shares one meter between the exact attempt and the
-    /// heuristic fallback).
+    /// The exact pipeline, regardless of the configured strategy, charging
+    /// an externally owned budget meter (the hybrid strategy shares one
+    /// meter between the exact attempt and the heuristic fallback).
     pub(crate) fn place_exact_with(
         &self,
         circuit: &Circuit,
@@ -387,7 +380,7 @@ impl<'e> Placer<'e> {
                 &search,
             )?;
             if candidates.is_empty() {
-                // extract_workspaces guarantees embeddability.
+                // Workspace extraction guarantees embeddability.
                 return Err(PlaceError::InvalidPlacement {
                     message: "workspace unexpectedly has no embedding".into(),
                 });
@@ -878,6 +871,40 @@ fn device_symmetry(env: &Environment, fast: &Graph) -> Option<Vec<usize>> {
     sizes.iter().any(|&c| c > 1).then_some(orbits)
 }
 
+/// All-pairs BFS over `graph`: hop distances and BFS-tree parents, both
+/// row-major `m × m` with `u32::MAX` for unreachable entries (and for the
+/// root's parent). Neighbours are visited in index order, so both
+/// tables are deterministic.
+fn all_pairs_bfs(graph: &Graph) -> (Vec<u32>, Vec<u32>) {
+    let m = graph.node_count();
+    let mut dist = vec![u32::MAX; m * m];
+    let mut parent = vec![u32::MAX; m * m];
+    let mut queue = Vec::with_capacity(m);
+    for s in 0..m {
+        let (d, p) = (
+            &mut dist[s * m..(s + 1) * m],
+            &mut parent[s * m..(s + 1) * m],
+        );
+        d[s] = 0;
+        queue.clear();
+        queue.push(s);
+        let mut head = 0;
+        while head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            for u in graph.neighbor_slice(qcp_graph::NodeId::new(v)) {
+                let u = u.index();
+                if d[u] == u32::MAX {
+                    d[u] = d[v] + 1;
+                    p[u] = v as u32;
+                    queue.push(u);
+                }
+            }
+        }
+    }
+    (dist, parent)
+}
+
 /// The strict exact failure once a budget meter has tripped.
 fn budget_error(meter: &vf2::Budget) -> PlaceError {
     PlaceError::BudgetExhausted {
@@ -1077,6 +1104,40 @@ mod tests {
         );
         let outcome = placer.place(&library::phase_estimation()).unwrap();
         assert!(outcome.subcircuit_count() >= 2);
+    }
+
+    #[test]
+    fn hop_tables_hold_bfs_distances_and_shortest_path_parents() {
+        // Crotonic at threshold 50 routes over bridge couplings; the
+        // grid's routing graph is its fast graph.
+        let crotonic = molecules::trans_crotonic_acid();
+        let grid = qcp_env::topologies::grid(3, 4, qcp_env::topologies::Delays::default());
+        for (env, t) in [
+            (&crotonic, Threshold::new(50.0)),
+            (&grid, grid.connectivity_threshold().unwrap()),
+        ] {
+            let placer = Placer::new(env, PlacerConfig::with_threshold(t));
+            let routing = placer.routing_graph();
+            let m = routing.node_count();
+            let (dist, parent) = placer.hop_tables();
+            for s in 0..m {
+                let row = qcp_graph::traversal::bfs_distances(routing, qcp_graph::NodeId::new(s));
+                for (t, d) in row.into_iter().enumerate() {
+                    let (hops, up) = (dist[s * m + t], parent[s * m + t]);
+                    assert_eq!(hops, d.unwrap_or(u32::MAX), "{s}->{t}");
+                    if t == s || hops == u32::MAX {
+                        assert_eq!(up, u32::MAX, "{s}->{t}");
+                    } else {
+                        // The parent is one routing edge closer to the root.
+                        let up = up as usize;
+                        assert!(
+                            routing.has_edge(qcp_graph::NodeId::new(up), qcp_graph::NodeId::new(t))
+                        );
+                        assert_eq!(dist[s * m + up] + 1, hops, "{s}->{t}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,23 +7,25 @@
 //! keying*. This module replaces the three ad-hoc paths with one
 //! value object and one executor:
 //!
-//! * [`PlaceRequest`] bundles everything a placement needs — circuit,
-//!   environment, full [`PlacerConfig`], verification flag, and cache
-//!   policy — behind a builder-style API.
+//! * [`PlaceRequest`] bundles everything that determines a placement —
+//!   circuit, environment, and full [`PlacerConfig`] — behind a
+//!   builder-style API.
 //! * [`PlaceRequest::cache_key`] derives the result-cache key from the
 //!   request's fields and nothing else, so CLI, batch, and serve can
 //!   never disagree on keying: batch dedup groups requests by this key,
 //!   and the executor looks them up under it. The canonical form behind
 //!   the key is computed once per request and kept with it.
-//! * [`execute`] / [`execute_with`] run the request: consult an
-//!   optional [`PlacementCache`], place on a miss, optionally certify
-//!   through an attached [`Certifier`], and report the cache
+//! * [`execute`] / [`execute_with`] run the request: consult a
+//!   [`PlacementCache`] when one is passed, place on a miss, certify
+//!   through a [`Certifier`] when one is passed, and report the cache
 //!   disposition alongside the outcome.
 //!
-//! The certifier is a trait rather than a direct `qcp_verify` call
-//! because `qcp_verify` depends on this crate; delivery surfaces that
-//! want verification (the CLI `--verify` flag, batch `--verify`) attach
-//! `qcp_verify`'s adapter, everything else passes `None`.
+//! The arguments are the only switches: a caller that wants no caching
+//! passes no cache, and a caller that wants no certification passes no
+//! certifier. The certifier is a trait rather than a direct `qcp_verify`
+//! call because `qcp_verify` depends on this crate; the CLI's
+//! `place --verify` passes `qcp_verify`'s adapter, everything else passes
+//! `None`.
 //!
 //! [`BatchPlacer`]: crate::batch::BatchPlacer
 
@@ -38,16 +40,6 @@ use crate::error::PlaceError;
 use crate::placer::{PlacementOutcome, Placer, PlacerConfig};
 use crate::strategy::{SearchBudget, Strategy};
 
-/// Whether a request may consult (and populate) the placement cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Look up the cache before placing and store the result after.
-    #[default]
-    Use,
-    /// Skip the cache entirely (the result is neither read nor stored).
-    Bypass,
-}
-
 /// What the cache did for one executed request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheDisposition {
@@ -61,9 +53,7 @@ pub enum CacheDisposition {
     /// The cache was consulted but had no entry; the result was placed
     /// fresh (and stored).
     Miss,
-    /// The cache was not consulted: no cache was attached, the attached
-    /// cache has capacity 0, or the request's policy is
-    /// [`CachePolicy::Bypass`].
+    /// The cache was not consulted because none was passed.
     Bypass,
 }
 
@@ -102,22 +92,17 @@ pub struct PlaceRequest<'a> {
     circuit: &'a Circuit,
     environment: &'a Environment,
     config: PlacerConfig,
-    verify: bool,
-    cache_policy: CachePolicy,
     /// The circuit's canonical form, computed on first use.
     canonical: OnceLock<CanonicalCircuit>,
 }
 
 impl<'a> PlaceRequest<'a> {
-    /// A request with the default [`PlacerConfig`], no verification, and
-    /// [`CachePolicy::Use`].
+    /// A request with the default [`PlacerConfig`].
     pub fn new(circuit: &'a Circuit, environment: &'a Environment) -> PlaceRequest<'a> {
         PlaceRequest {
             circuit,
             environment,
             config: PlacerConfig::default(),
-            verify: false,
-            cache_policy: CachePolicy::default(),
             canonical: OnceLock::new(),
         }
     }
@@ -140,21 +125,6 @@ impl<'a> PlaceRequest<'a> {
         self
     }
 
-    /// Requests independent certification of the outcome (including
-    /// cache hits, whose remapped outcomes are re-certified). Executing
-    /// a verifying request requires a [`Certifier`] — see
-    /// [`execute_with`].
-    pub fn verify(mut self, verify: bool) -> Self {
-        self.verify = verify;
-        self
-    }
-
-    /// Sets the cache policy.
-    pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = policy;
-        self
-    }
-
     /// The circuit to place.
     pub fn circuit(&self) -> &'a Circuit {
         self.circuit
@@ -168,16 +138,6 @@ impl<'a> PlaceRequest<'a> {
     /// The full placer configuration.
     pub fn placer_config(&self) -> &PlacerConfig {
         &self.config
-    }
-
-    /// Whether certification was requested.
-    pub fn wants_verify(&self) -> bool {
-        self.verify
-    }
-
-    /// The cache policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.cache_policy
     }
 
     /// The circuit's exact canonical form (fingerprint + witness order),
@@ -206,49 +166,36 @@ pub struct PlaceReport {
     pub cache: CacheDisposition,
     /// Wall-clock time spent inside the executor.
     pub elapsed: Duration,
-    /// Certificate summary when the request asked for verification.
+    /// Certificate summary when a certifier was passed.
     pub certificate: Option<String>,
 }
 
 /// Executes a request with no cache and no certifier: the common path
-/// for one-shot library use. Fails with [`PlaceError::Internal`] if the
-/// request asks for verification (attach a certifier via
-/// [`execute_with`]).
+/// for one-shot library use.
 pub fn execute(request: &PlaceRequest<'_>) -> Result<PlaceReport, PlaceError> {
     execute_with(request, None, None)
 }
 
-/// Executes a request against an optional shared [`PlacementCache`] and
-/// an optional [`Certifier`].
+/// Executes a request, consulting `cache` exactly when one is passed and
+/// certifying exactly when a `certifier` is passed.
 ///
-/// With a cache attached and [`CachePolicy::Use`]: the request's
-/// canonical form is computed once, the cache consulted, and on a hit
-/// the stored outcome is witness-remapped onto the request's labels. On
-/// a miss the placement runs and the (unremapped) outcome is stored
-/// with its witness. Verification, when requested, runs on whatever
-/// outcome is about to be returned — fresh or remapped — so a cache can
-/// never weaken the certificate.
+/// With a cache: the request's canonical form is computed once, the
+/// cache consulted, and on a hit the stored outcome is witness-remapped
+/// onto the request's labels. On a miss the placement runs and the
+/// (unremapped) outcome is stored with its witness. With a certifier,
+/// certification runs on whatever outcome is about to be returned —
+/// fresh or remapped — so a cache can never weaken the certificate.
 pub fn execute_with(
     request: &PlaceRequest<'_>,
     cache: Option<&PlacementCache>,
     certifier: Option<&dyn Certifier>,
 ) -> Result<PlaceReport, PlaceError> {
     let start = Instant::now();
-    if request.verify && certifier.is_none() {
-        return Err(PlaceError::Internal {
-            message: "request asks for verification but no certifier is attached".to_string(),
-        });
-    }
-    let cache = match (request.cache_policy, cache) {
-        (CachePolicy::Use, Some(cache)) if cache.capacity() > 0 => {
-            Some((cache, request.cache_key()))
-        }
-        _ => None,
-    };
+    let cache = cache.map(|cache| (cache, request.cache_key()));
 
     if let Some((cache, key)) = cache {
         if let Some((outcome, remapped)) = cache.lookup(key, &request.canonical().order) {
-            let certificate = certify_if_asked(request, &outcome, certifier)?;
+            let certificate = certify(request, &outcome, certifier)?;
             return Ok(PlaceReport {
                 outcome,
                 cache: CacheDisposition::Hit { remapped },
@@ -260,7 +207,7 @@ pub fn execute_with(
 
     let placer = Placer::new(request.environment, request.config.clone());
     let outcome = placer.place(request.circuit)?;
-    let certificate = certify_if_asked(request, &outcome, certifier)?;
+    let certificate = certify(request, &outcome, certifier)?;
     let disposition = if let Some((cache, key)) = cache {
         cache.insert(key, request.canonical().order.clone(), outcome.clone());
         CacheDisposition::Miss
@@ -275,18 +222,18 @@ pub fn execute_with(
     })
 }
 
-fn certify_if_asked(
+fn certify(
     request: &PlaceRequest<'_>,
     outcome: &PlacementOutcome,
     certifier: Option<&dyn Certifier>,
 ) -> Result<Option<String>, PlaceError> {
-    match (request.verify, certifier) {
-        (true, Some(certifier)) => match certifier.certify(request, outcome) {
-            Ok(summary) => Ok(Some(summary)),
-            Err(violations) => Err(PlaceError::VerificationFailed { violations }),
-        },
-        _ => Ok(None),
-    }
+    let Some(certifier) = certifier else {
+        return Ok(None);
+    };
+    certifier
+        .certify(request, outcome)
+        .map(Some)
+        .map_err(|violations| PlaceError::VerificationFailed { violations })
 }
 
 #[cfg(test)]
@@ -332,18 +279,6 @@ mod tests {
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.remapped(), 1);
-    }
-
-    #[test]
-    fn bypass_policy_skips_an_attached_cache() {
-        let env = molecules::acetyl_chloride();
-        let circuit = library::qec3_encoder();
-        let cache = PlacementCache::new(16);
-        let request = qec_request(&circuit, &env).cache_policy(CachePolicy::Bypass);
-        let report = execute_with(&request, Some(&cache), None).expect("place");
-        assert_eq!(report.cache, CacheDisposition::Bypass);
-        assert_eq!(cache.hits() + cache.misses(), 0);
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -415,15 +350,6 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses(), cache.remapped()), (1, 1, 1));
     }
 
-    #[test]
-    fn verify_without_certifier_is_an_error() {
-        let env = molecules::acetyl_chloride();
-        let circuit = library::qec3_encoder();
-        let request = qec_request(&circuit, &env).verify(true);
-        let err = execute(&request).expect_err("must fail");
-        assert!(matches!(err, PlaceError::Internal { .. }));
-    }
-
     struct RejectAll;
     impl Certifier for RejectAll {
         fn certify(
@@ -439,7 +365,7 @@ mod tests {
     fn certifier_rejection_maps_to_verification_failed() {
         let env = molecules::acetyl_chloride();
         let circuit = library::qec3_encoder();
-        let request = qec_request(&circuit, &env).verify(true);
+        let request = qec_request(&circuit, &env);
         let err = execute_with(&request, None, Some(&RejectAll)).expect_err("must fail");
         match err {
             PlaceError::VerificationFailed { violations } => {
@@ -452,5 +378,22 @@ mod tests {
             "verify-reject"
         );
         assert_eq!(crate::FailureClass::Verification.exit_code(), 4);
+    }
+
+    #[test]
+    fn passing_a_certifier_is_what_turns_certification_on() {
+        let env = molecules::acetyl_chloride();
+        let circuit = library::qec3_encoder();
+        let request = qec_request(&circuit, &env);
+        let cache = PlacementCache::new(4);
+        // No certifier: nothing is certified, and the miss is stored.
+        let cold = execute_with(&request, Some(&cache), None).expect("place");
+        assert_eq!(cold.cache, CacheDisposition::Miss);
+        assert!(cold.certificate.is_none());
+        // The same request with a certifier is certified on the hit path
+        // too, so a rejecting certifier turns the hit into a failure.
+        let err = execute_with(&request, Some(&cache), Some(&RejectAll)).expect_err("rejected");
+        assert!(matches!(err, PlaceError::VerificationFailed { .. }));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 }

@@ -235,9 +235,10 @@ impl PlacementStrategy for ExactVf2 {
     }
 
     fn place(&self, placer: &Placer<'_>, circuit: &Circuit) -> Result<PlacementOutcome> {
-        let outcome = placer.place_exact(circuit)?;
+        let mut meter = placer.config().budget.start();
+        let outcome = placer.place_exact_with(circuit, &mut meter)?;
         #[cfg(debug_assertions)]
-        debug_check_outcome(placer, circuit, &outcome);
+        debug_check_outcome(placer.environment(), circuit, &outcome);
         Ok(outcome)
     }
 }
@@ -259,7 +260,7 @@ impl PlacementStrategy for GreedyAnneal {
         let mut meter = placer.config().budget.start();
         let outcome = greedy_anneal(placer, circuit, &mut meter, Resolution::Fallback)?;
         #[cfg(debug_assertions)]
-        debug_check_outcome(placer, circuit, &outcome);
+        debug_check_outcome(placer.environment(), circuit, &outcome);
         Ok(outcome)
     }
 }
@@ -296,7 +297,7 @@ impl PlacementStrategy for Hybrid {
             Err(e) => Err(e),
         }?;
         #[cfg(debug_assertions)]
-        debug_check_outcome(placer, circuit, &outcome);
+        debug_check_outcome(placer.environment(), circuit, &outcome);
         Ok(outcome)
     }
 }
@@ -320,11 +321,10 @@ pub fn strategy_for(strategy: Strategy) -> &'static dyn PlacementStrategy {
 /// exclusive to the external checker.
 #[cfg(debug_assertions)]
 pub(crate) fn debug_check_outcome(
-    placer: &Placer<'_>,
+    env: &qcp_env::Environment,
     circuit: &Circuit,
     outcome: &PlacementOutcome,
 ) {
-    let env = placer.environment();
     let n = circuit.qubit_count();
     let m = env.qubit_count();
     assert!(
@@ -407,19 +407,19 @@ struct FlatGate {
 
 const NONE: u32 = u32::MAX;
 
-/// Shared machinery of the heuristic: hop distances and BFS parents on
-/// the routing graph, plus the routed-cost evaluator the annealer scores
-/// with.
-struct RoutedCost<'e> {
+/// Shared machinery of the heuristic: the placer's hop distances and BFS
+/// parents on the routing graph, plus the routed-cost evaluator the
+/// annealer scores with.
+struct RoutedCost<'a> {
     m: usize,
     /// `dist[s * m + t]`: routing-graph hops (`u32::MAX` unreachable).
-    dist: Vec<u32>,
+    dist: &'a [u32],
     /// `parent[s * m + t]`: predecessor of `t` on the BFS tree rooted at
     /// `s` (`u32::MAX` for the root / unreachable).
-    parent: Vec<u32>,
+    parent: &'a [u32],
     gates: Vec<FlatGate>,
-    base: CostEngine<'e>,
-    work: CostEngine<'e>,
+    base: CostEngine<'a>,
+    work: CostEngine<'a>,
     /// Scratch: logical → physical.
     pos: Vec<u32>,
     /// Scratch: physical → logical (`u32::MAX` free).
@@ -428,35 +428,10 @@ struct RoutedCost<'e> {
     path: Vec<u32>,
 }
 
-impl<'e> RoutedCost<'e> {
-    fn new(placer: &Placer<'e>, circuit: &Circuit) -> RoutedCost<'e> {
-        let routing = placer.routing_graph();
-        let m = routing.node_count();
-        let mut dist = vec![u32::MAX; m * m];
-        let mut parent = vec![NONE; m * m];
-        let mut queue = Vec::with_capacity(m);
-        for s in 0..m {
-            let (d, p) = (
-                &mut dist[s * m..(s + 1) * m],
-                &mut parent[s * m..(s + 1) * m],
-            );
-            d[s] = 0;
-            queue.clear();
-            queue.push(s);
-            let mut head = 0;
-            while head < queue.len() {
-                let v = queue[head];
-                head += 1;
-                for u in routing.neighbor_slice(NodeId::new(v)) {
-                    let u = u.index();
-                    if d[u] == u32::MAX {
-                        d[u] = d[v] + 1;
-                        p[u] = v as u32;
-                        queue.push(u);
-                    }
-                }
-            }
-        }
+impl<'a> RoutedCost<'a> {
+    fn new(placer: &'a Placer<'_>, circuit: &Circuit) -> RoutedCost<'a> {
+        let m = placer.routing_graph().node_count();
+        let (dist, parent) = placer.hop_tables();
         let gates = circuit
             .gates()
             .map(|g| {

@@ -52,19 +52,11 @@ impl Workspace {
 }
 
 /// Splits `circuit` into maximal subcircuits whose interaction graphs
-/// embed (as subgraph monomorphisms) into `fast`, using default
-/// [`ExtractionOptions`] (the paper's greedy-maximal scheme).
-///
-/// # Errors
-///
-/// Returns [`PlaceError::NoFastInteractions`] if some two-qubit gate
-/// cannot be aligned even alone — i.e. the fast graph has no edges at all
-/// (the paper's N/A case).
-pub fn extract_workspaces(circuit: &Circuit, fast: &Graph) -> Result<Vec<Workspace>> {
-    extract_workspaces_with(circuit, fast, ExtractionOptions::default())
-}
-
-/// [`extract_workspaces`] with explicit [`ExtractionOptions`].
+/// embed (as subgraph monomorphisms) into `fast`. Every embeddability
+/// check charges the shared `meter` (pass [`vf2::Budget::unlimited`] for
+/// no limit), and extraction aborts with [`PlaceError::BudgetExhausted`]
+/// once it trips. Default [`ExtractionOptions`] give the paper's
+/// greedy-maximal scheme.
 ///
 /// With `commutation_aware` set, a gate that would break the current
 /// workspace is *deferred* instead of closing it, and later gates that
@@ -75,22 +67,10 @@ pub fn extract_workspaces(circuit: &Circuit, fast: &Graph) -> Result<Vec<Workspa
 ///
 /// # Errors
 ///
-/// As [`extract_workspaces`].
-pub fn extract_workspaces_with(
-    circuit: &Circuit,
-    fast: &Graph,
-    options: ExtractionOptions,
-) -> Result<Vec<Workspace>> {
-    extract_workspaces_budgeted(circuit, fast, options, &mut vf2::Budget::unlimited())
-}
-
-/// [`extract_workspaces_with`] under a search budget: every embeddability
-/// check charges the shared `meter`, and extraction aborts with
-/// [`PlaceError::BudgetExhausted`] once it trips.
-///
-/// # Errors
-///
-/// As [`extract_workspaces`], plus [`PlaceError::BudgetExhausted`].
+/// * [`PlaceError::NoFastInteractions`] if some two-qubit gate cannot be
+///   aligned even alone — i.e. the fast graph has no edges at all (the
+///   paper's N/A case);
+/// * [`PlaceError::BudgetExhausted`] if the meter trips.
 pub fn extract_workspaces_budgeted(
     circuit: &Circuit,
     fast: &Graph,
@@ -313,11 +293,16 @@ mod tests {
         Qubit::new(i)
     }
 
+    /// Extraction under an unlimited meter.
+    fn extract(c: &Circuit, fast: &Graph, options: ExtractionOptions) -> Result<Vec<Workspace>> {
+        extract_workspaces_budgeted(c, fast, options, &mut vf2::Budget::unlimited())
+    }
+
     #[test]
     fn chain_circuit_single_workspace_on_chain() {
         let c = library::pseudo_cat(5);
         let fast = generate::chain(5);
-        let ws = extract_workspaces(&c, &fast).unwrap();
+        let ws = extract(&c, &fast, ExtractionOptions::default()).unwrap();
         assert_eq!(ws.len(), 1);
         assert_eq!(ws[0].gate_count(), c.gate_count());
     }
@@ -336,7 +321,7 @@ mod tests {
         )
         .unwrap();
         let fast = generate::chain(3);
-        let ws = extract_workspaces(&c, &fast).unwrap();
+        let ws = extract(&c, &fast, ExtractionOptions::default()).unwrap();
         assert_eq!(ws.len(), 2);
         assert_eq!(ws[0].gate_count(), 2);
         assert_eq!(ws[1].gate_count(), 1);
@@ -354,7 +339,7 @@ mod tests {
         )
         .unwrap();
         let fast = generate::chain(2);
-        let ws = extract_workspaces(&c, &fast).unwrap();
+        let ws = extract(&c, &fast, ExtractionOptions::default()).unwrap();
         assert_eq!(ws.len(), 1);
     }
 
@@ -371,7 +356,12 @@ mod tests {
         )
         .unwrap();
         let fast = generate::chain(3);
-        assert_eq!(extract_workspaces(&c, &fast).unwrap().len(), 1);
+        assert_eq!(
+            extract(&c, &fast, ExtractionOptions::default())
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -381,7 +371,7 @@ mod tests {
         let fast = env.fast_graph(Threshold::new(100.0));
         let c = library::phase_estimation();
         assert_eq!(
-            extract_workspaces(&c, &fast).unwrap_err(),
+            extract(&c, &fast, ExtractionOptions::default()).unwrap_err(),
             PlaceError::NoFastInteractions
         );
     }
@@ -391,7 +381,7 @@ mod tests {
         let c = Circuit::from_gates(2, [Gate::ry(q(0), 90.0), Gate::ry(q(1), 90.0)]).unwrap();
         let env = molecules::pentafluoro_iron();
         let fast = env.fast_graph(Threshold::new(50.0)); // empty graph
-        let ws = extract_workspaces(&c, &fast).unwrap();
+        let ws = extract(&c, &fast, ExtractionOptions::default()).unwrap();
         assert_eq!(ws.len(), 1);
         assert_eq!(ws[0].interaction.edge_count(), 0);
     }
@@ -403,7 +393,7 @@ mod tests {
         let env = molecules::trans_crotonic_acid();
         let fast = env.fast_graph(Threshold::new(200.0));
         let c = library::qft(6);
-        let ws = extract_workspaces(&c, &fast).unwrap();
+        let ws = extract(&c, &fast, ExtractionOptions::default()).unwrap();
         assert!(
             ws.len() > 1,
             "expected multiple workspaces, got {}",
@@ -434,14 +424,14 @@ mod tests {
         )
         .unwrap();
         let fast = generate::chain(4);
-        let plain = extract_workspaces(&c, &fast).unwrap();
+        let plain = extract(&c, &fast, ExtractionOptions::default()).unwrap();
         assert_eq!(plain.len(), 2);
         // Greedy stops at the triangle edge: zz(0,1), the levelized-early
         // ry(q3), and zz(1,2) are in; the trailing zz(1,2) is stranded in
         // workspace 2 behind the blocker.
         assert_eq!(plain[0].gate_count(), 3);
         assert_eq!(plain[1].gate_count(), 2);
-        let smart = extract_workspaces_with(
+        let smart = extract(
             &c,
             &fast,
             ExtractionOptions {
@@ -470,7 +460,7 @@ mod tests {
         )
         .unwrap();
         let fast = generate::chain(3);
-        let smart = extract_workspaces_with(
+        let smart = extract(
             &c,
             &fast,
             ExtractionOptions {
@@ -489,7 +479,7 @@ mod tests {
     fn max_gates_caps_workspaces() {
         let c = library::pseudo_cat(5); // 1 workspace normally
         let fast = generate::chain(5);
-        let capped = extract_workspaces_with(
+        let capped = extract(
             &c,
             &fast,
             ExtractionOptions {
@@ -517,7 +507,7 @@ mod tests {
         let env = molecules::trans_crotonic_acid();
         let fast = env.fast_graph(Threshold::new(200.0));
         let c = library::qft(6);
-        let smart = extract_workspaces_with(
+        let smart = extract(
             &c,
             &fast,
             ExtractionOptions {
@@ -536,7 +526,7 @@ mod tests {
         let staged = library::random::staged(8, 42);
         let env = molecules::lnn_chain_1khz(8);
         let fast = env.fast_graph(Threshold::new(11.0));
-        let ws = extract_workspaces(&staged.circuit, &fast).unwrap();
+        let ws = extract(&staged.circuit, &fast, ExtractionOptions::default()).unwrap();
         assert_eq!(ws.len(), staged.stage_count());
     }
 }

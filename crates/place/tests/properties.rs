@@ -8,11 +8,14 @@ use rand::{Rng, SeedableRng};
 use qcp_circuit::{Circuit, Gate, Qubit};
 use qcp_env::topologies::{self, Delays};
 use qcp_env::{molecules, Environment, PhysicalQubit};
+use qcp_graph::vf2::Budget;
 use qcp_graph::{generate, NodeId};
 use qcp_place::baselines::{exhaustive_placement, random_placement};
 use qcp_place::batch::BatchPlacer;
 use qcp_place::cost::{placed_runtime, CostModel};
+use qcp_place::embed::{candidate_placements_searched, SearchOptions};
 use qcp_place::router::{route_permutation, route_sequential, verify_schedule, RouterConfig};
+use qcp_place::workspace::{extract_workspaces_budgeted, ExtractionOptions};
 use qcp_place::{
     execute_with, CacheDisposition, CanonicalCircuit, PlaceError, PlaceRequest, Placement,
     PlacementCache, Placer, PlacerConfig, Resolution, SearchBudget, Strategy,
@@ -362,14 +365,23 @@ proptest! {
         let env = random_env(n + 1, seed ^ 22);
         let t = env.connectivity_threshold().unwrap();
         let fast = env.fast_graph(t);
-        let ws = qcp_place::workspace::extract_workspaces(&circuit, &fast).unwrap();
+        let mut meter = Budget::unlimited();
+        let ws = extract_workspaces_budgeted(&circuit, &fast, ExtractionOptions::default(), &mut meter)
+            .unwrap();
         // Ranges tile the circuit.
         prop_assert_eq!(ws[0].first_gate, 0);
         prop_assert_eq!(ws.last().unwrap().last_gate, circuit.gate_count());
         for w in &ws {
             // Each workspace's interaction pattern embeds.
-            let cands = qcp_place::embed::candidate_placements(&w.interaction, &fast, None, 1)
-                .unwrap();
+            let cands = candidate_placements_searched(
+                &w.interaction,
+                &fast,
+                None,
+                1,
+                &mut meter,
+                &SearchOptions::default(),
+            )
+            .unwrap();
             prop_assert!(!cands.is_empty(), "workspace does not embed");
             // And the interaction graph matches the subcircuit's couplings.
             for g in w.circuit.gates() {

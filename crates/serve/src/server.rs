@@ -30,8 +30,7 @@ use qcp_circuit::Circuit;
 use qcp_env::topologies::{Delays, TopologySpec};
 use qcp_env::{molecules, Environment, Threshold};
 use qcp_place::{
-    execute_with, CachePolicy, PlaceRequest, PlacementCache, PlacerConfig, Resolution,
-    SearchBudget, Strategy,
+    execute_with, PlaceRequest, PlacementCache, PlacerConfig, Resolution, SearchBudget, Strategy,
 };
 
 use crate::http::{self, Limits, Request, RequestError};
@@ -279,7 +278,9 @@ struct Shared {
     available: Condvar,
     active: AtomicUsize,
     stats: Stats,
-    cache: PlacementCache,
+    /// The process-wide result cache; `None` when started with
+    /// `cache_entries == 0`.
+    cache: Option<PlacementCache>,
 }
 
 impl Shared {
@@ -296,9 +297,9 @@ impl Shared {
             resolved_exact: self.stats.resolved_exact.load(Ordering::Relaxed),
             resolved_fallback: self.stats.resolved_fallback.load(Ordering::Relaxed),
             resolved_degraded: self.stats.resolved_degraded.load(Ordering::Relaxed),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_remapped: self.cache.remapped(),
+            cache_hits: self.cache.as_ref().map_or(0, PlacementCache::hits),
+            cache_misses: self.cache.as_ref().map_or(0, PlacementCache::misses),
+            cache_remapped: self.cache.as_ref().map_or(0, PlacementCache::remapped),
         }
     }
     /// Locks the queue, recovering from poison (cannot actually happen —
@@ -347,7 +348,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let workers = config.resolved_workers();
-        let cache = PlacementCache::new(config.cache_entries);
+        let cache = (config.cache_entries > 0).then(|| PlacementCache::new(config.cache_entries));
         let shared = Arc::new(Shared {
             config,
             draining: AtomicBool::new(false),
@@ -651,7 +652,8 @@ struct PlaceParams {
     strategy: Strategy,
     budget_ms: Option<u64>,
     budget_nodes: Option<u64>,
-    cache: CachePolicy,
+    /// `cache=on` (the default) or `cache=off`.
+    use_cache: bool,
 }
 
 fn parse_params(request: &Request) -> Result<PlaceParams, String> {
@@ -663,7 +665,7 @@ fn parse_params(request: &Request) -> Result<PlaceParams, String> {
         strategy: Strategy::Hybrid,
         budget_ms: None,
         budget_nodes: None,
-        cache: CachePolicy::Use,
+        use_cache: true,
     };
     for (key, value) in request.query_params() {
         match key.as_str() {
@@ -703,9 +705,9 @@ fn parse_params(request: &Request) -> Result<PlaceParams, String> {
                 );
             }
             "cache" => {
-                p.cache = match value.as_str() {
-                    "on" => CachePolicy::Use,
-                    "off" => CachePolicy::Bypass,
+                p.use_cache = match value.as_str() {
+                    "on" => true,
+                    "off" => false,
                     other => {
                         return Err(format!("bad cache `{other}` (expected on or off)"));
                     }
@@ -892,9 +894,8 @@ fn place_endpoint(shared: &Shared, request: &Request, stream: &mut TcpStream) {
     let config = PlacerConfig::with_threshold(threshold)
         .strategy(params.strategy)
         .budget(budget);
-    let place_request = PlaceRequest::new(&circuit, &env)
-        .config(config)
-        .cache_policy(params.cache);
+    let place_request = PlaceRequest::new(&circuit, &env).config(config);
+    let cache = shared.cache.as_ref().filter(|_| params.use_cache);
     // The poisoned-job boundary: any panic below — chaos-injected or a
     // genuine placement bug — is contained here, answered as a structured
     // 500, and the worker keeps serving.
@@ -902,7 +903,7 @@ fn place_endpoint(shared: &Shared, request: &Request, stream: &mut TcpStream) {
         if chaos.as_deref() == Some("panic") {
             panic!("chaos: injected worker panic");
         }
-        execute_with(&place_request, Some(&shared.cache), None)
+        execute_with(&place_request, cache, None)
     }));
     let elapsed = t0.elapsed();
 

@@ -142,26 +142,53 @@ fn corpus_files_posted_verbatim_place() {
 
 #[test]
 fn oversized_topology_specs_are_rejected_and_the_daemon_keeps_serving() {
-    // A device spec is parsed before anything is allocated for it: the
-    // dense coupling table of `line:100000` alone would need 40 GB.
+    // A device spec is parsed before anything is built for it: the dense
+    // coupling table of `line:100000` alone would need 40 GB, and setting
+    // up `line:4096` (coupling table, automorphisms, all-pairs hop
+    // distances, cache key) took seconds outside the request's budget.
     let server = chaos_server(ServeConfig::default().workers(1));
     let addr = server.local_addr();
-    for env in ["line:100000", "grid:4294967296x4294967296"] {
-        let reply =
-            chaos::post(addr, &format!("/place?circuit=qec3&env={env}"), &[], "").expect("post");
+    for env in [
+        "line:100000",
+        "grid:4294967296x4294967296",
+        "line:4096",
+        "line:513",
+    ] {
+        let start = Instant::now();
+        let reply = chaos::post(
+            addr,
+            &format!("/place?circuit=qec3&env={env}&budget_ms=50"),
+            &[],
+            "",
+        )
+        .expect("post");
+        let elapsed = start.elapsed();
         assert_eq!(reply.status, 400, "{env}: {}", reply.body);
         assert!(
-            reply.body.contains("more than 4096 qubits"),
+            reply.body.contains("more than 512 qubits"),
             "{env}: {}",
             reply.body
         );
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "{env}: answered after {elapsed:?}"
+        );
         assert_recovered(&server);
     }
+    // `line:512`, at the cap, still places.
+    let reply = chaos::post(
+        addr,
+        "/place?circuit=qec3&env=line:512&budget_ms=50",
+        &[],
+        "",
+    )
+    .expect("post");
+    assert_eq!(reply.status, 200, "line:512: {}", reply.body);
 
     server.drain();
     let stats = server.join();
-    assert_eq!(stats.client_errors, 2);
-    assert_eq!(stats.served_ok, 2);
+    assert_eq!(stats.client_errors, 4);
+    assert_eq!(stats.served_ok, 5);
 }
 
 /// OpenQASM for `rings` disjoint rings of `len` `cz` gates: every qubit

@@ -1,9 +1,9 @@
 //! Adapter plugging this crate's [`certify`] into the
 //! [`qcp_place::Certifier`] hook of the unified request executor.
 //!
-//! `qcp_place::request::execute_with` accepts an optional certifier so
-//! that verifying surfaces (the CLI `--verify` flag, batch `--verify`)
-//! re-check every outcome — including cache hits after their witness
+//! `qcp_place::request::execute_with` certifies exactly when a certifier
+//! is passed, so a verifying surface (the CLI's `place --verify`)
+//! re-checks every outcome — including cache hits after their witness
 //! remap — without `qcp_place` depending on this crate (the dependency
 //! runs the other way).
 
@@ -51,9 +51,7 @@ mod tests {
         let circuit = library::qec3_encoder();
         let config = PlacerConfig::with_threshold(Threshold::new(100.0));
         let cache = PlacementCache::new(8);
-        let request = PlaceRequest::new(&circuit, &env)
-            .config(config.clone())
-            .verify(true);
+        let request = PlaceRequest::new(&circuit, &env).config(config.clone());
         let cold = execute_with(&request, Some(&cache), Some(&PlacementCertifier))
             .expect("cold place certifies");
         let summary = cold.certificate.expect("certificate present");
@@ -63,9 +61,7 @@ mod tests {
         // against the relabelled circuit after the witness remap.
         let n = circuit.qubit_count();
         let relabelled = circuit.map_qubits(n, |q| qcp_circuit::Qubit::new(n - 1 - q.index()));
-        let warm_request = PlaceRequest::new(&relabelled, &env)
-            .config(config)
-            .verify(true);
+        let warm_request = PlaceRequest::new(&relabelled, &env).config(config);
         let warm = execute_with(&warm_request, Some(&cache), Some(&PlacementCertifier))
             .expect("warm remapped hit certifies");
         assert_eq!(

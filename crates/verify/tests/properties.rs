@@ -159,9 +159,9 @@ proptest! {
 }
 
 /// Places `circuit` on `spec` cold through a fresh cache, then executes
-/// its relabelling through `perm` against that cache with verification
-/// on: the repeat must be a cache hit whose remapped outcome certifies
-/// against the relabelled circuit.
+/// its relabelling through `perm` against that cache with the certifier
+/// passed: the repeat must be a cache hit whose remapped outcome
+/// certifies against the relabelled circuit.
 fn remapped_hit_certifies(name: &str, circuit: &Circuit, spec: &str, perm: &[usize]) {
     use qcp_place::{execute_with, CacheDisposition, PlaceRequest, PlacementCache};
     use qcp_verify::PlacementCertifier;
@@ -170,9 +170,7 @@ fn remapped_hit_certifies(name: &str, circuit: &Circuit, spec: &str, perm: &[usi
     let config = config_for(&env, Strategy::Exact);
     let cache = PlacementCache::new(4);
     let cold = execute_with(
-        &PlaceRequest::new(circuit, &env)
-            .config(config.clone())
-            .verify(true),
+        &PlaceRequest::new(circuit, &env).config(config.clone()),
         Some(&cache),
         Some(&PlacementCertifier),
     )
@@ -184,9 +182,7 @@ fn remapped_hit_certifies(name: &str, circuit: &Circuit, spec: &str, perm: &[usi
     let n = circuit.qubit_count();
     let relabelled = circuit.map_qubits(n, |q| qcp_circuit::Qubit::new(perm[q.index()]));
     let warm = execute_with(
-        &PlaceRequest::new(&relabelled, &env)
-            .config(config)
-            .verify(true),
+        &PlaceRequest::new(&relabelled, &env).config(config),
         Some(&cache),
         Some(&PlacementCertifier),
     )

@@ -49,13 +49,12 @@ fn main() {
         let cold_t = t0.elapsed();
 
         // The repeat arrives with its qubits relabelled — an isomorphic,
-        // not identical, circuit. Verification is on: the remapped hit is
-        // re-certified against the relabelled circuit before returning.
+        // not identical, circuit. The certifier is passed: the remapped
+        // hit is re-certified against the relabelled circuit before
+        // returning.
         let relabelled = circuit.map_qubits(n, |q| Qubit::new(n - 1 - q.index()));
         let t1 = Instant::now();
-        let warm_request = PlaceRequest::new(&relabelled, &env)
-            .config(config.clone())
-            .verify(true);
+        let warm_request = PlaceRequest::new(&relabelled, &env).config(config.clone());
         let warm = execute_with(&warm_request, Some(&cache), Some(&PlacementCertifier))
             .expect("warm repeat places");
         let warm_t = t1.elapsed();

@@ -298,10 +298,9 @@ fn run_place(args: &[String]) -> Result<(), CliError> {
     // The one-shot CLI runs through the same unified request executor as
     // batch and the serve daemon (qcp_place::request), so keying,
     // verification, and error taxonomy can never drift between surfaces.
-    let request = PlaceRequest::new(&circuit, &env)
-        .config(config)
-        .verify(verify);
-    let report = match execute_with(&request, None, Some(&PlacementCertifier)) {
+    let request = PlaceRequest::new(&circuit, &env).config(config);
+    let certifier: Option<&dyn Certifier> = verify.then_some(&PlacementCertifier);
+    let report = match execute_with(&request, None, certifier) {
         Ok(report) => report,
         Err(PlaceError::VerificationFailed { violations }) => {
             for line in &violations {

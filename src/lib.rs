@@ -21,8 +21,8 @@ pub mod prelude {
     pub use qcp_env::{molecules, topologies, Environment, Threshold};
     pub use qcp_graph::{Graph, NodeId};
     pub use qcp_place::{
-        execute, execute_with, BatchPlacer, BatchReport, CachePolicy, CostModel, PlaceRequest,
-        Placement, PlacementCache, Placer, PlacerConfig, Resolution, SearchBudget, Strategy,
+        execute, execute_with, BatchPlacer, BatchReport, CostModel, PlaceRequest, Placement,
+        PlacementCache, Placer, PlacerConfig, Resolution, SearchBudget, Strategy,
     };
 }
 

@@ -91,10 +91,11 @@ fn input_errors_are_exit_two() {
 
 #[test]
 fn oversized_topologies_are_exit_two() {
-    // A device too large to build is rejected when its spec is parsed,
-    // before anything is allocated for its coupling table.
+    // A device over the qubit cap is rejected when its spec is parsed,
+    // before anything is built for it.
     for args in [
         ["place", "--circuit", "qec3", "--topology", "line:100000"],
+        ["place", "--circuit", "qec3", "--topology", "line:4096"],
         ["place", "--circuit", "qec3", "--env", "line:100000"],
         [
             "batch",
@@ -107,7 +108,7 @@ fn oversized_topologies_are_exit_two() {
         let out = qcp(&args);
         assert_eq!(exit_code(&out), 2, "{args:?}: {}", stderr(&out));
         assert!(
-            stderr(&out).contains("more than 4096 qubits"),
+            stderr(&out).contains("more than 512 qubits"),
             "{args:?}: {}",
             stderr(&out)
         );
