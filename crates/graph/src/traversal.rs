@@ -49,34 +49,6 @@ pub fn bfs_distances(graph: &Graph, start: NodeId) -> Vec<Option<u32>> {
     dist
 }
 
-/// Hop distances from any node of `starts` (multi-source BFS).
-///
-/// Used by the SWAP router to measure how far a token is from the
-/// communication channel, which may have several endpoints.
-///
-/// # Panics
-///
-/// Panics if any start node is out of range.
-pub fn multi_source_distances(graph: &Graph, starts: &[NodeId]) -> Vec<Option<u32>> {
-    let mut dist = vec![None; graph.node_count()];
-    let mut queue = VecDeque::new();
-    for &s in starts {
-        if dist[s.index()].is_none() {
-            dist[s.index()] = Some(0);
-            queue.push_back((s, 0u32));
-        }
-    }
-    while let Some((v, d)) = queue.pop_front() {
-        for u in graph.neighbors(v) {
-            if dist[u.index()].is_none() {
-                dist[u.index()] = Some(d + 1);
-                queue.push_back((u, d + 1));
-            }
-        }
-    }
-    dist
-}
-
 /// Returns `true` if the graph is connected (the empty graph and the
 /// single-node graph are connected).
 pub fn is_connected(graph: &Graph) -> bool {
@@ -184,16 +156,6 @@ mod tests {
         let g = Graph::from_edges(3, [(0, 1)]).unwrap();
         let d = bfs_distances(&g, n(0));
         assert_eq!(d[2], None);
-    }
-
-    #[test]
-    fn multi_source_takes_minimum() {
-        let g = generate::chain(6);
-        let d = multi_source_distances(&g, &[n(0), n(5)]);
-        assert_eq!(
-            d,
-            vec![Some(0), Some(1), Some(2), Some(2), Some(1), Some(0)]
-        );
     }
 
     #[test]

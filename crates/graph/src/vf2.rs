@@ -143,8 +143,9 @@ impl Budget {
     }
 
     /// The kernel-side charge: one search node, with the deadline polled
-    /// every [`DEADLINE_STRIDE`] nodes.
-    #[inline]
+    /// every [`DEADLINE_STRIDE`] nodes. The kernel calls it only at a
+    /// [checkpoint](Budget::checkpoint) and counts the nodes in between
+    /// itself.
     fn visit(&mut self) -> bool {
         if self.exhausted {
             return false;
@@ -159,6 +160,19 @@ impl Budget {
         } else {
             true
         }
+    }
+
+    /// The node count below which [`visit`](Budget::visit) neither trips
+    /// the cap nor polls the deadline: up to it, a visit only adds one.
+    /// Zero once exhausted, so every later visit reaches the meter.
+    fn checkpoint(&self) -> u64 {
+        if self.exhausted {
+            return 0;
+        }
+        let next_poll = (self.nodes / DEADLINE_STRIDE)
+            .saturating_add(1)
+            .saturating_mul(DEADLINE_STRIDE);
+        self.max_nodes.min(next_poll - 1)
     }
 
     fn poll_deadline(&mut self) -> bool {
@@ -387,6 +401,8 @@ impl<'a> MonomorphismFinder<'a> {
             cand_stack: vec![0; pn * twpr],
             twpr,
             image: vec![NodeId::new(0); pn],
+            nodes: budget.nodes,
+            checkpoint: budget.checkpoint(),
             budget,
             budget_cut: false,
         };
@@ -399,6 +415,7 @@ impl<'a> MonomorphismFinder<'a> {
         } else {
             let _ = state.extend(0, visit);
         }
+        state.budget.nodes = state.nodes;
         state.budget_cut
     }
 
@@ -485,6 +502,12 @@ struct State<'a> {
     /// Scratch buffer for rendering complete mappings, reused across
     /// solutions so the search allocates nothing per node visited.
     image: Vec<NodeId>,
+    /// The meter's running node count, kept here so that the per-node
+    /// charge touches no memory behind `budget`; written back to the meter
+    /// at every checkpoint and when the search returns.
+    nodes: u64,
+    /// The meter's [`Budget::checkpoint`] for `nodes`.
+    checkpoint: u64,
     /// The meter, charged once per visited search node.
     budget: &'a mut Budget,
     /// Set when the meter aborted the search (distinguishes a budget cut
@@ -493,6 +516,23 @@ struct State<'a> {
 }
 
 impl State<'_> {
+    /// Charges one search node: a local count up to the checkpoint, and
+    /// [`Budget::visit`] on the meter itself at the checkpoint, so the node
+    /// a cap trips at and the nodes the deadline is polled at are the
+    /// meter's own.
+    #[inline]
+    fn visit(&mut self) -> bool {
+        if self.nodes < self.checkpoint {
+            self.nodes += 1;
+            return true;
+        }
+        self.budget.nodes = self.nodes;
+        let live = self.budget.visit();
+        self.nodes = self.budget.nodes;
+        self.checkpoint = self.budget.checkpoint();
+        live
+    }
+
     /// Single-word variant of [`extend`](State::extend) for targets of at
     /// most 64 nodes: the unused set and every candidate set live in
     /// registers (`u64` arguments and locals), adjacency rows are single
@@ -504,7 +544,7 @@ impl State<'_> {
         unused: u64,
         visit: &mut dyn FnMut(&[NodeId]) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        if !self.budget.visit() {
+        if !self.visit() {
             self.budget_cut = true;
             return ControlFlow::Break(());
         }
@@ -559,7 +599,7 @@ impl State<'_> {
         depth: usize,
         visit: &mut dyn FnMut(&[NodeId]) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        if !self.budget.visit() {
+        if !self.visit() {
             self.budget_cut = true;
             return ControlFlow::Break(());
         }

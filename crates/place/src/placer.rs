@@ -10,7 +10,7 @@ use qcp_graph::{vf2, Graph};
 use crate::cost::{CostEngine, CostModel, Schedule};
 use crate::embed::{candidate_placements_searched, SearchOptions};
 use crate::finetune::fine_tune;
-use crate::router::{route_permutation, RouterConfig, SwapSchedule};
+use crate::router::{Router, RouterConfig, SwapSchedule};
 use crate::strategy::{strategy_for, AnnealConfig, Resolution, SearchBudget, Strategy};
 use crate::workspace::{extract_workspaces_budgeted, ExtractionOptions, Workspace};
 use crate::{PlaceError, Placement, Result};
@@ -345,6 +345,9 @@ impl<'e> Placer<'e> {
         // every fine-tuning probe and commit (candidate selection keeps
         // its own forks).
         let mut fork = CostEngine::new(self.env, self.config.cost_model);
+        // One router per request: every permutation scored below routes
+        // over the same graph and reuses its bisections and buffers.
+        let mut router = Router::new(&self.routing, self.config.router);
         let mut schedule = Schedule::new();
         let mut stages: Vec<Stage> = Vec::new();
         let mut previous: Option<Placement> = None;
@@ -435,6 +438,7 @@ impl<'e> Placer<'e> {
                 ws,
                 lookahead,
                 meter,
+                &mut router,
             )?;
             let mut chosen = candidates[best_idx].clone();
 
@@ -458,7 +462,14 @@ impl<'e> Placer<'e> {
                             if !meter.consume(1) {
                                 return f64::INFINITY;
                             }
-                            match self.score_into(&engine, previous.as_ref(), pl, ws, &mut fork) {
+                            match self.score_into(
+                                &engine,
+                                previous.as_ref(),
+                                pl,
+                                ws,
+                                &mut fork,
+                                &mut router,
+                            ) {
                                 Ok((c, _)) => c,
                                 Err(_) => f64::INFINITY,
                             }
@@ -473,7 +484,14 @@ impl<'e> Placer<'e> {
             }
 
             // Commit: swap stage + placed subcircuit.
-            let (_, swaps) = self.score_into(&engine, previous.as_ref(), &chosen, ws, &mut fork)?;
+            let (_, swaps) = self.score_into(
+                &engine,
+                previous.as_ref(),
+                &chosen,
+                ws,
+                &mut fork,
+                &mut router,
+            )?;
             std::mem::swap(&mut engine, &mut fork);
             let swap_schedule = swaps.to_schedule();
             schedule.extend(&swap_schedule);
@@ -500,7 +518,8 @@ impl<'e> Placer<'e> {
     /// then run `ws` under `cand`, evaluated on `fork` (reset to `base`'s
     /// state first, reusing its buffers). Returns the resulting makespan
     /// and the swap schedule; `fork` is left holding the post-candidate
-    /// state for lookahead continuations or commitment.
+    /// state for lookahead continuations or commitment. The swaps come
+    /// from `router`, the request's router over the routing graph.
     fn score_into(
         &self,
         base: &CostEngine<'e>,
@@ -508,14 +527,12 @@ impl<'e> Placer<'e> {
         cand: &Placement,
         ws: &Workspace,
         fork: &mut CostEngine<'e>,
+        router: &mut Router<'_>,
     ) -> Result<(f64, SwapSchedule)> {
         let swaps = match previous {
             None => SwapSchedule::default(),
             Some(prev) if prev.same_assignment(cand) => SwapSchedule::default(),
-            Some(prev) => {
-                let perm = prev.permutation_to(cand);
-                route_permutation(&self.routing, &perm, &self.config.router)?
-            }
+            Some(prev) => router.route(&prev.permutation_to(cand))?,
         };
         fork.copy_from(base);
         fork.apply_swap_levels(swaps.levels());
@@ -533,6 +550,7 @@ impl<'e> Placer<'e> {
     ///
     /// The budget for this sweep was charged up front by the caller; the
     /// meter is only polled here for its wall-clock deadline.
+    #[allow(clippy::too_many_arguments)]
     fn select_candidate(
         &self,
         engine: &CostEngine<'e>,
@@ -541,6 +559,7 @@ impl<'e> Placer<'e> {
         ws: &Workspace,
         lookahead: Option<(&[Placement], &Workspace)>,
         meter: &mut vf2::Budget,
+        router: &mut Router<'_>,
     ) -> Result<usize> {
         // Per-continuation gate floors: what the next workspace's gates
         // must cost under each next candidate, regardless of the current
@@ -582,7 +601,7 @@ impl<'e> Placer<'e> {
                     break; // sorted by bound: nothing later can be cheaper
                 }
                 let Ok((cost, _)) =
-                    self.score_into(engine, previous, &candidates[ci], ws, &mut fork)
+                    self.score_into(engine, previous, &candidates[ci], ws, &mut fork, router)
                 else {
                     continue;
                 };
@@ -651,6 +670,7 @@ impl<'e> Placer<'e> {
                 best.map(|(bm, _)| bm),
                 &mut fork,
                 &mut fork2,
+                router,
             ) else {
                 continue;
             };
@@ -682,8 +702,11 @@ impl<'e> Placer<'e> {
         cutoff: Option<f64>,
         fork: &mut CostEngine<'e>,
         fork2: &mut CostEngine<'e>,
+        router: &mut Router<'_>,
     ) -> Option<f64> {
-        let (cost, _) = self.score_into(engine, previous, cand, ws, fork).ok()?;
+        let (cost, _) = self
+            .score_into(engine, previous, cand, ws, fork, router)
+            .ok()?;
         let Some((next_cands, next_ws, floors)) = lookahead else {
             return Some(cost);
         };
@@ -707,7 +730,8 @@ impl<'e> Placer<'e> {
             {
                 break; // sorted: the min cannot improve below the bound
             }
-            if let Ok((c2, _)) = self.score_into(fork, Some(cand), &next_cands[ni], next_ws, fork2)
+            if let Ok((c2, _)) =
+                self.score_into(fork, Some(cand), &next_cands[ni], next_ws, fork2, router)
             {
                 best_next = best_next.min(c2);
             }

@@ -26,11 +26,11 @@
 //! For bounded-degree graphs the depth is `O(n)` (8n + O(1) for `s = 1/2`,
 //! §5.2), which property tests in this crate check empirically.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use qcp_env::PhysicalQubit;
 use qcp_graph::bisection::balanced_connected_bisection;
-use qcp_graph::traversal::{connected_components, multi_source_distances, shortest_path};
+use qcp_graph::traversal::{connected_components, shortest_path};
 use qcp_graph::{Graph, NodeId};
 
 use crate::cost::{PlacedGate, Schedule};
@@ -111,6 +111,10 @@ impl SwapSchedule {
 /// must reach `targets[v]`; `None` marks a don't-care value. Returns a
 /// parallel swap schedule along graph edges.
 ///
+/// A one-shot [`Router`]: callers that route many permutations over the
+/// same graph keep one [`Router`] instead, which reuses its bisections
+/// and buffers across calls.
+///
 /// # Errors
 ///
 /// * [`PlaceError::InvalidPlacement`] if `targets` has the wrong length or
@@ -122,62 +126,350 @@ pub fn route_permutation(
     targets: &[Option<usize>],
     config: &RouterConfig,
 ) -> Result<SwapSchedule> {
-    let n = graph.node_count();
-    if targets.len() != n {
-        return Err(PlaceError::InvalidPlacement {
-            message: format!("targets length {} != graph size {n}", targets.len()),
-        });
+    Router::new(graph, *config).route(targets)
+}
+
+/// The §5.2 router over one routing graph, reusable across permutations.
+///
+/// A placement request routes hundreds to thousands of permutations over
+/// the same graph, but the recursion meets only a few dozen distinct
+/// *active sets* (the vertices a `route_rec` level still has to sort). The
+/// router fills three things lazily, on the first route that needs them,
+/// and keeps them for every later call:
+///
+/// * the graph's connected components (each in BFS order);
+/// * the balanced bisection of every active set met, keyed by the set's
+///   `u64` bitset words;
+/// * the colour, freeze, level, distance and queue buffers of the
+///   exchange phase, indexed by vertex and reset only where a level
+///   touched them.
+///
+/// The set alone is an exact key because the bisection of a set is a
+/// function of the set's vertex *order* too, and that order is always the
+/// same: every active list is its component's BFS order restricted to the
+/// set. The top level is the component itself; the halves of a bisection
+/// are sorted by position in their parent's list; the recursion only drops
+/// frozen leaves from them. Debug builds check this on every memo hit.
+///
+/// [`Router::new`] allocates nothing, so a caller that never routes pays
+/// nothing. Schedules are identical to a fresh [`route_permutation`] call
+/// for every input, whatever the router routed before.
+#[derive(Debug)]
+pub struct Router<'g> {
+    graph: &'g Graph,
+    config: RouterConfig,
+    /// Connected components, each in BFS order; empty until the first
+    /// route.
+    components: Vec<Vec<usize>>,
+    /// Each vertex's component, and its position in that component's BFS
+    /// order (empty until the first route).
+    comp_of: Vec<usize>,
+    rank: Vec<usize>,
+    /// The bisection of every active set met so far, keyed by the set's
+    /// bitset words.
+    splits: HashMap<Box<[u64]>, Split>,
+    scratch: Scratch,
+}
+
+/// One memoized bisection of an active set, in graph vertex indices.
+#[derive(Debug)]
+struct Split {
+    /// The smaller half, then the larger, each in active-list order.
+    left: Vec<usize>,
+    right: Vec<usize>,
+    /// The communication channel, `(left end, right end)` per edge.
+    channel: Vec<(usize, usize)>,
+    /// Bitsets of `left` and of the channel's endpoints.
+    left_bits: Box<[u64]>,
+    channel_ends: Box<[u64]>,
+}
+
+/// Working buffers of the exchange phase, one slot per graph vertex.
+///
+/// A `route_rec` level writes only the slots of its active set, and
+/// resets the ones it reads before reading them, so the buffers are
+/// shared down the recursion and across routes.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The current level's active set as bitset words (the memo key).
+    active: Vec<u64>,
+    /// Value colour: white = destination in the left half.
+    white: Vec<bool>,
+    /// Leaves retired by the leaf–target override.
+    frozen: Vec<bool>,
+    /// Vertices already swapped in the level being built (all `false`
+    /// between levels).
+    used: Vec<bool>,
+    /// Hop distance to the designated channel end within one side
+    /// (`u32::MAX` when unreached, restored after every funnel).
+    dist: Vec<u32>,
+    /// BFS queue; afterwards, the vertices whose distance to restore.
+    queue: Vec<usize>,
+    /// Wildcard values being coloured, or wrong-coloured values being
+    /// funnelled.
+    pending: Vec<usize>,
+}
+
+/// Tests bit `v` of a bitset.
+#[inline]
+fn bit(words: &[u64], v: usize) -> bool {
+    words[v / 64] >> (v % 64) & 1 != 0
+}
+
+/// The bitset of `vertices` over a graph of `n` vertices.
+fn bitset(n: usize, vertices: impl IntoIterator<Item = usize>) -> Box<[u64]> {
+    let mut words = vec![0u64; n.div_ceil(64)];
+    for v in vertices {
+        words[v / 64] |= 1 << (v % 64);
     }
-    let mut seen = vec![false; n];
-    for t in targets.iter().flatten() {
-        if *t >= n || seen[*t] {
+    words.into_boxed_slice()
+}
+
+impl<'g> Router<'g> {
+    /// A router over `graph`. Allocates nothing until the first route.
+    pub fn new(graph: &'g Graph, config: RouterConfig) -> Self {
+        Router {
+            graph,
+            config,
+            components: Vec::new(),
+            comp_of: Vec::new(),
+            rank: Vec::new(),
+            splits: HashMap::new(),
+            scratch: Scratch::default(),
+        }
+    }
+
+    /// Routes the permutation `targets` exactly as [`route_permutation`]
+    /// does.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`route_permutation`].
+    pub fn route(&mut self, targets: &[Option<usize>]) -> Result<SwapSchedule> {
+        let n = self.graph.node_count();
+        if targets.len() != n {
             return Err(PlaceError::InvalidPlacement {
-                message: format!("destination {t} repeated or out of range"),
+                message: format!("targets length {} != graph size {n}", targets.len()),
             });
         }
-        seen[*t] = true;
-    }
-
-    // Validate component-wise reachability, then route each component.
-    let components = connected_components(graph);
-    let mut comp_of = vec![usize::MAX; n];
-    for (ci, comp) in components.iter().enumerate() {
-        for &v in comp {
-            comp_of[v.index()] = ci;
-        }
-    }
-    for (v, t) in targets.iter().enumerate() {
-        if let Some(t) = *t {
-            if comp_of[v] != comp_of[t] {
-                return Err(PlaceError::RoutingImpossible {
-                    stuck: PhysicalQubit::new(v),
+        let mut seen = vec![false; n];
+        for t in targets.iter().flatten() {
+            if *t >= n || seen[*t] {
+                return Err(PlaceError::InvalidPlacement {
+                    message: format!("destination {t} repeated or out of range"),
                 });
             }
+            seen[*t] = true;
         }
+
+        // Validate component-wise reachability, then route each component.
+        if self.comp_of.len() != n {
+            self.components = connected_components(self.graph)
+                .into_iter()
+                .map(|comp| comp.into_iter().map(NodeId::index).collect())
+                .collect();
+            self.comp_of = vec![usize::MAX; n];
+            self.rank = vec![usize::MAX; n];
+            for (ci, comp) in self.components.iter().enumerate() {
+                for (i, &v) in comp.iter().enumerate() {
+                    self.comp_of[v] = ci;
+                    self.rank[v] = i;
+                }
+            }
+            let s = &mut self.scratch;
+            s.white = vec![false; n];
+            s.frozen = vec![false; n];
+            s.used = vec![false; n];
+            s.dist = vec![u32::MAX; n];
+        }
+        for (v, t) in targets.iter().enumerate() {
+            if let Some(t) = *t {
+                if self.comp_of[v] != self.comp_of[t] {
+                    return Err(PlaceError::RoutingImpossible {
+                        stuck: PhysicalQubit::new(v),
+                    });
+                }
+            }
+        }
+
+        let mut dest: Vec<Option<usize>> = targets.to_vec();
+        let components = std::mem::take(&mut self.components);
+        let routed: Result<Vec<Levels>> = components
+            .iter()
+            .map(|comp| self.route_rec(comp, &mut dest))
+            .collect();
+        self.components = components;
+        // Components are disjoint: run their schedules in parallel.
+        let levels = merge_parallel(routed?);
+        Ok(SwapSchedule {
+            levels: levels
+                .into_iter()
+                .map(|lv| {
+                    lv.into_iter()
+                        .map(|(a, b)| (PhysicalQubit::new(a), PhysicalQubit::new(b)))
+                        .collect()
+                })
+                .collect(),
+        })
     }
 
-    let mut dest: Vec<Option<usize>> = targets.to_vec();
-    let mut per_component: Vec<Vec<Vec<(usize, usize)>>> = Vec::new();
-    for comp in &components {
-        let active: Vec<usize> = comp.iter().map(|v| v.index()).collect();
-        per_component.push(route_rec(graph, &active, &mut dest, config)?);
+    /// Routes the values of `active` to their destinations (all inside
+    /// `active`): bisect, exchange across the channel until both halves
+    /// are colour-pure, then recurse on each half.
+    fn route_rec(&mut self, active: &[usize], dest: &mut [Option<usize>]) -> Result<Levels> {
+        if is_done(active, dest) {
+            return Ok(Vec::new());
+        }
+        if active.len() < 2 {
+            // A lone unsatisfied vertex cannot be fixed.
+            return Err(PlaceError::RoutingImpossible {
+                stuck: PhysicalQubit::new(active.first().copied().unwrap_or(0)),
+            });
+        }
+
+        // Bisect the active set, or recall its bisection.
+        let n = self.graph.node_count();
+        let key = &mut self.scratch.active;
+        key.clear();
+        key.resize(n.div_ceil(64), 0);
+        for &v in active {
+            key[v / 64] |= 1 << (v % 64);
+        }
+        if self.splits.contains_key(&key[..]) {
+            debug_assert!(
+                active
+                    .windows(2)
+                    .all(|w| self.comp_of[w[0]] == self.comp_of[w[1]]
+                        && self.rank[w[0]] < self.rank[w[1]]),
+                "active list is not its component's BFS order restricted to the set"
+            );
+        } else {
+            let split = bisect(self.graph, active)?;
+            self.splits.insert(key.clone().into_boxed_slice(), split);
+        }
+        let split = &self.splits[&self.scratch.active[..]];
+        let in_left = |v: usize| bit(&split.left_bits, v);
+
+        // Colour values: White = destination in the left half.
+        // Wildcards are assigned to balance, preferring their current side so
+        // they move as little as possible.
+        let s = &mut self.scratch;
+        let mut fixed_white = 0usize;
+        s.pending.clear();
+        for &v in active {
+            s.white[v] = false;
+            s.frozen[v] = false;
+            match dest[v] {
+                Some(d) => {
+                    if in_left(d) {
+                        s.white[v] = true;
+                        fixed_white += 1;
+                    }
+                }
+                None => s.pending.push(v),
+            }
+        }
+        let mut need_white = split.left.len() - fixed_white.min(split.left.len());
+        debug_assert!(
+            fixed_white <= split.left.len(),
+            "more fixed whites than room in the left half"
+        );
+        // Wildcards already in the left half take white first.
+        s.pending.sort_unstable_by_key(|&v| (!in_left(v), v));
+        for &v in &s.pending {
+            if need_white > 0 {
+                s.white[v] = true;
+                need_white -= 1;
+            }
+        }
+
+        // Exchange phase.
+        let mut levels: Levels = Vec::new();
+        let max_iters = 8 * active.len() + 16; // safety margin over the 8n bound
+        for _ in 0..max_iters {
+            let misplaced = active
+                .iter()
+                .any(|&v| !s.frozen[v] && (s.white[v] != in_left(v)));
+            if !misplaced {
+                break;
+            }
+            let level = s.build_level(self.graph, &self.config, active, split, dest);
+            if level.is_empty() {
+                return Err(PlaceError::RoutingImpossible {
+                    stuck: PhysicalQubit::new(
+                        active
+                            .iter()
+                            .copied()
+                            .find(|&v| s.white[v] != in_left(v))
+                            .unwrap_or(active[0]),
+                    ),
+                });
+            }
+            levels.push(level);
+        }
+        debug_assert!(
+            active
+                .iter()
+                .all(|&v| s.frozen[v] || s.white[v] == in_left(v)),
+            "exchange phase exceeded its iteration budget"
+        );
+
+        // Recurse on both halves (minus satisfied frozen leaves) in parallel.
+        let remaining = |side: &[usize]| -> Vec<usize> {
+            side.iter().copied().filter(|&v| !s.frozen[v]).collect()
+        };
+        let (la, lb) = (remaining(&split.left), remaining(&split.right));
+        let sub_a = if la.is_empty() {
+            Vec::new()
+        } else {
+            self.route_rec(&la, dest)?
+        };
+        let sub_b = if lb.is_empty() {
+            Vec::new()
+        } else {
+            self.route_rec(&lb, dest)?
+        };
+        levels.extend(merge_parallel(vec![sub_a, sub_b]));
+        Ok(levels)
     }
-    // Components are disjoint: run their schedules in parallel.
-    let levels = merge_parallel(per_component);
-    Ok(SwapSchedule {
-        levels: levels
-            .into_iter()
-            .map(|lv| {
-                lv.into_iter()
-                    .map(|(a, b)| (PhysicalQubit::new(a), PhysicalQubit::new(b)))
-                    .collect()
-            })
-            .collect(),
+}
+
+/// Swap levels over graph vertex indices.
+type Levels = Vec<Vec<(usize, usize)>>;
+
+/// Bisects the subgraph induced by `active` (vertex `i` of the induced
+/// graph is `active[i]`) and maps the result back to graph indices.
+fn bisect(graph: &Graph, active: &[usize]) -> Result<Split> {
+    let active_ids: Vec<NodeId> = active.iter().map(|&v| NodeId::new(v)).collect();
+    let (sub, back) = graph
+        .induced(&active_ids)
+        .map_err(|e| PlaceError::InvalidPlacement {
+            message: format!("induced subgraph failed: {e}"),
+        })?;
+    let bisection =
+        balanced_connected_bisection(&sub).map_err(|e| PlaceError::InvalidPlacement {
+            message: format!("bisection failed: {e}"),
+        })?;
+    let to_graph =
+        |half: &[NodeId]| -> Vec<usize> { half.iter().map(|&v| back[v.index()].index()).collect() };
+    let (left, right) = (to_graph(&bisection.left), to_graph(&bisection.right));
+    let channel: Vec<(usize, usize)> = bisection
+        .channel
+        .iter()
+        .map(|&(a, b)| (back[a.index()].index(), back[b.index()].index()))
+        .collect();
+    let n = graph.node_count();
+    Ok(Split {
+        left_bits: bitset(n, left.iter().copied()),
+        channel_ends: bitset(n, channel.iter().flat_map(|&(a, b)| [a, b])),
+        left,
+        right,
+        channel,
     })
 }
 
 /// Zips any number of vertex-disjoint level sequences into one.
-fn merge_parallel(mut parts: Vec<Vec<Vec<(usize, usize)>>>) -> Vec<Vec<(usize, usize)>> {
+fn merge_parallel(mut parts: Vec<Levels>) -> Levels {
     let depth = parts.iter().map(Vec::len).max().unwrap_or(0);
     let mut out = Vec::with_capacity(depth);
     for i in 0..depth {
@@ -198,305 +490,159 @@ fn is_done(active: &[usize], dest: &[Option<usize>]) -> bool {
     active.iter().all(|&v| dest[v].is_none_or(|d| d == v))
 }
 
-fn route_rec(
-    graph: &Graph,
-    active: &[usize],
-    dest: &mut Vec<Option<usize>>,
-    config: &RouterConfig,
-) -> Result<Vec<Vec<(usize, usize)>>> {
-    if is_done(active, dest) {
-        return Ok(Vec::new());
-    }
-    if active.len() < 2 {
-        // A lone unsatisfied vertex cannot be fixed.
-        return Err(PlaceError::RoutingImpossible {
-            stuck: PhysicalQubit::new(active.first().copied().unwrap_or(0)),
-        });
-    }
+impl Scratch {
+    /// Builds one parallel swap level over `active` (whose bitset is in
+    /// `self.active`) and applies it to the colours and `dest`.
+    fn build_level(
+        &mut self,
+        graph: &Graph,
+        config: &RouterConfig,
+        active: &[usize],
+        split: &Split,
+        dest: &mut [Option<usize>],
+    ) -> Vec<(usize, usize)> {
+        let Scratch {
+            active: active_bits,
+            white,
+            frozen,
+            used,
+            dist,
+            queue,
+            pending,
+        } = self;
+        let is_active = |v: usize| bit(active_bits, v);
+        let in_left = |v: usize| bit(&split.left_bits, v);
+        let mut level: Vec<(usize, usize)> = Vec::new();
+        let do_swap = |u: usize,
+                       v: usize,
+                       white: &mut [bool],
+                       dest: &mut [Option<usize>],
+                       used: &mut [bool],
+                       level: &mut Vec<(usize, usize)>| {
+            dest.swap(u, v);
+            white.swap(u, v);
+            used[u] = true;
+            used[v] = true;
+            level.push((u, v));
+        };
 
-    // Bisect the active induced subgraph.
-    let active_ids: Vec<NodeId> = active.iter().map(|&v| NodeId::new(v)).collect();
-    let (sub, back) = graph
-        .induced(&active_ids)
-        .map_err(|e| PlaceError::InvalidPlacement {
-            message: format!("induced subgraph failed: {e}"),
-        })?;
-    let bisection =
-        balanced_connected_bisection(&sub).map_err(|e| PlaceError::InvalidPlacement {
-            message: format!("bisection failed: {e}"),
-        })?;
-    let left: Vec<usize> = bisection
-        .left
-        .iter()
-        .map(|&v| back[v.index()].index())
-        .collect();
-    let right: Vec<usize> = bisection
-        .right
-        .iter()
-        .map(|&v| back[v.index()].index())
-        .collect();
-    let channel: Vec<(usize, usize)> = bisection
-        .channel
-        .iter()
-        .map(|&(a, b)| (back[a.index()].index(), back[b.index()].index()))
-        .collect();
-
-    let mut in_left = vec![false; graph.node_count()];
-    for &v in &left {
-        in_left[v] = true;
-    }
-
-    // Colour values: White = destination in the left half.
-    // Wildcards are assigned to balance, preferring their current side so
-    // they move as little as possible.
-    let mut white = vec![false; graph.node_count()];
-    let mut fixed_white = 0usize;
-    let mut wild: Vec<usize> = Vec::new();
-    for &v in active {
-        match dest[v] {
-            Some(d) => {
-                if in_left[d] {
-                    white[v] = true;
-                    fixed_white += 1;
+        // 1. Leaf–target override (§5.3): deliver values straight into leaf
+        //    destinations and retire the leaf.
+        if config.leaf_override {
+            for &v in active {
+                if frozen[v] || used[v] {
+                    continue;
                 }
+                let Some(d) = dest[v] else { continue };
+                if d == v || used[d] || frozen[d] {
+                    continue;
+                }
+                if !graph.has_edge(NodeId::new(v), NodeId::new(d)) {
+                    continue;
+                }
+                // The destination must be an active leaf, not a channel end
+                // (freezing a channel endpoint could block the exchange), and
+                // its current value must not itself be finalized there. The
+                // working degree counts active, unfrozen neighbours.
+                if !is_active(d)
+                    || bit(&split.channel_ends, d)
+                    || graph
+                        .neighbor_slice(NodeId::new(d))
+                        .iter()
+                        .filter(|u| is_active(u.index()) && !frozen[u.index()])
+                        .count()
+                        != 1
+                {
+                    continue;
+                }
+                if dest[d] == Some(d) {
+                    continue;
+                }
+                do_swap(v, d, white, dest, used, &mut level);
+                frozen[d] = true;
             }
-            None => wild.push(v),
         }
-    }
-    let mut need_white = left.len() - fixed_white.min(left.len());
-    debug_assert!(
-        fixed_white <= left.len(),
-        "more fixed whites than room in the left half"
-    );
-    // Wildcards already in the left half take white first.
-    wild.sort_unstable_by_key(|&v| (!in_left[v], v));
-    for &v in &wild {
-        if need_white > 0 {
-            white[v] = true;
-            need_white -= 1;
-        }
-    }
 
-    // Exchange phase.
-    let mut frozen: HashSet<usize> = HashSet::new();
-    let mut levels: Vec<Vec<(usize, usize)>> = Vec::new();
-    let max_iters = 8 * active.len() + 16; // safety margin over the 8n bound
-    for _ in 0..max_iters {
-        let misplaced = active
-            .iter()
-            .any(|&v| !frozen.contains(&v) && (white[v] != in_left[v]));
-        if !misplaced {
-            break;
+        // 2. Cross-channel exchanges: black on the left end, white on the
+        //    right end. (The channel is never blocked, and all channel edges
+        //    work in parallel.)
+        for &(a, b) in &split.channel {
+            if used[a] || used[b] || frozen[a] || frozen[b] {
+                continue;
+            }
+            if !white[a] && white[b] {
+                do_swap(a, b, white, dest, used, &mut level);
+            }
         }
-        let level = build_level(
-            graph,
-            active,
-            &in_left,
-            &channel,
-            &mut white,
-            dest,
-            &mut frozen,
-            config,
-        );
-        if level.is_empty() {
-            return Err(PlaceError::RoutingImpossible {
-                stuck: PhysicalQubit::new(
+
+        // 3. Funnel wrong-coloured values toward the channel on both sides.
+        //    Distances are measured to a single *designated* channel edge
+        //    (§5.2: "we suppose that the communication channel consists of a
+        //    single edge, otherwise, choose a single edge") so both queues
+        //    provably meet; the other channel edges still exchange
+        //    opportunistically in step 2 above.
+        if let Some(&(a, b)) = split.channel.first() {
+            for (side_is_left, source) in [(true, a), (false, b)] {
+                let in_side = |v: usize| is_active(v) && in_left(v) == side_is_left && !frozen[v];
+                if !in_side(source) {
+                    continue;
+                }
+                // Hop distances to the channel end within this side.
+                queue.clear();
+                queue.push(source);
+                dist[source] = 0;
+                let mut head = 0;
+                while let Some(&v) = queue.get(head) {
+                    head += 1;
+                    for u in graph.neighbor_slice(NodeId::new(v)) {
+                        let u = u.index();
+                        if dist[u] == u32::MAX && in_side(u) {
+                            dist[u] = dist[v] + 1;
+                            queue.push(u);
+                        }
+                    }
+                }
+                // Wrong colour on this side: black-on-left or white-on-right.
+                pending.clear();
+                pending.extend(
                     active
                         .iter()
                         .copied()
-                        .find(|&v| white[v] != in_left[v])
-                        .unwrap_or(active[0]),
-                ),
-            });
+                        .filter(|&v| in_side(v) && white[v] != in_left(v) && !used[v]),
+                );
+                pending.sort_unstable_by_key(|&v| (dist[v], v));
+                for &v in pending.iter() {
+                    let dv = dist[v];
+                    if used[v] || dv == u32::MAX || dv == 0 {
+                        // Unreachable, or already at the channel waiting
+                        // for the partner.
+                        continue;
+                    }
+                    // Step toward the channel through a right-coloured
+                    // neighbour (the lowest-index one).
+                    let step = graph
+                        .neighbor_slice(NodeId::new(v))
+                        .iter()
+                        .map(|u| u.index())
+                        .find(|&u| {
+                            in_side(u) && !used[u] && white[u] == in_left(u) && dist[u] == dv - 1
+                        });
+                    if let Some(u) = step {
+                        do_swap(v, u, white, dest, used, &mut level);
+                    }
+                }
+                for &v in queue.iter() {
+                    dist[v] = u32::MAX;
+                }
+            }
         }
-        levels.push(level);
+
+        for &(a, b) in &level {
+            used[a] = false;
+            used[b] = false;
+        }
+        level
     }
-    debug_assert!(
-        active
-            .iter()
-            .all(|&v| frozen.contains(&v) || white[v] == in_left[v]),
-        "exchange phase exceeded its iteration budget"
-    );
-
-    // Recurse on both halves (minus satisfied frozen leaves) in parallel.
-    let remaining = |side: &[usize]| -> Vec<usize> {
-        side.iter()
-            .copied()
-            .filter(|v| !frozen.contains(v))
-            .collect()
-    };
-    let (la, lb) = (remaining(&left), remaining(&right));
-    let sub_a = if la.is_empty() {
-        Vec::new()
-    } else {
-        route_rec(graph, &la, dest, config)?
-    };
-    let sub_b = if lb.is_empty() {
-        Vec::new()
-    } else {
-        route_rec(graph, &lb, dest, config)?
-    };
-    levels.extend(merge_parallel(vec![sub_a, sub_b]));
-    Ok(levels)
-}
-
-/// Builds one parallel swap level and applies it to `white`/`dest`.
-#[allow(clippy::too_many_arguments)]
-fn build_level(
-    graph: &Graph,
-    active: &[usize],
-    in_left: &[bool],
-    channel: &[(usize, usize)],
-    white: &mut [bool],
-    dest: &mut Vec<Option<usize>>,
-    frozen: &mut HashSet<usize>,
-    config: &RouterConfig,
-) -> Vec<(usize, usize)> {
-    let mut used: HashSet<usize> = HashSet::new();
-    let mut level: Vec<(usize, usize)> = Vec::new();
-    let do_swap = |u: usize,
-                   v: usize,
-                   white: &mut [bool],
-                   dest: &mut Vec<Option<usize>>,
-                   used: &mut HashSet<usize>,
-                   level: &mut Vec<(usize, usize)>| {
-        dest.swap(u, v);
-        white.swap(u, v);
-        used.insert(u);
-        used.insert(v);
-        level.push((u, v));
-    };
-
-    let is_active: HashSet<usize> = active.iter().copied().collect();
-    let channel_ends: HashSet<usize> = channel.iter().flat_map(|&(a, b)| [a, b]).collect();
-
-    // Working degree (within active, excluding frozen) for leaf detection.
-    let working_degree = |v: usize, frozen: &HashSet<usize>| -> usize {
-        graph
-            .neighbors(NodeId::new(v))
-            .filter(|u| is_active.contains(&u.index()) && !frozen.contains(&u.index()))
-            .count()
-    };
-
-    // 1. Leaf–target override (§5.3): deliver values straight into leaf
-    //    destinations and retire the leaf.
-    if config.leaf_override {
-        for &v in active {
-            if frozen.contains(&v) || used.contains(&v) {
-                continue;
-            }
-            let Some(d) = dest[v] else { continue };
-            if d == v || used.contains(&d) || frozen.contains(&d) {
-                continue;
-            }
-            if !graph.has_edge(NodeId::new(v), NodeId::new(d)) {
-                continue;
-            }
-            // The destination must be an active leaf, not a channel end
-            // (freezing a channel endpoint could block the exchange), and
-            // its current value must not itself be finalized there.
-            if !is_active.contains(&d)
-                || channel_ends.contains(&d)
-                || working_degree(d, frozen) != 1
-            {
-                continue;
-            }
-            if dest[d] == Some(d) {
-                continue;
-            }
-            do_swap(v, d, white, dest, &mut used, &mut level);
-            frozen.insert(d);
-        }
-    }
-
-    // 2. Cross-channel exchanges: black on the left end, white on the
-    //    right end. (The channel is never blocked, and all channel edges
-    //    work in parallel.)
-    for &(a, b) in channel {
-        if used.contains(&a) || used.contains(&b) || frozen.contains(&a) || frozen.contains(&b) {
-            continue;
-        }
-        if !white[a] && white[b] {
-            do_swap(a, b, white, dest, &mut used, &mut level);
-        }
-    }
-
-    // 3. Funnel wrong-coloured values toward the channel on both sides.
-    //    Distances are measured to a single *designated* channel edge
-    //    (§5.2: "we suppose that the communication channel consists of a
-    //    single edge, otherwise, choose a single edge") so both queues
-    //    provably meet; the other channel edges still exchange
-    //    opportunistically in step 2 above.
-    let designated = channel.first().copied();
-    let funnel = |side_is_left: bool,
-                  white: &mut [bool],
-                  dest: &mut Vec<Option<usize>>,
-                  used: &mut HashSet<usize>,
-                  level: &mut Vec<(usize, usize)>,
-                  frozen: &HashSet<usize>| {
-        let sources: Vec<NodeId> = designated
-            .iter()
-            .map(|&(a, b)| if side_is_left { a } else { b })
-            .filter(|&v| !frozen.contains(&v))
-            .map(NodeId::new)
-            .collect();
-        if sources.is_empty() {
-            return;
-        }
-        let side: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&v| in_left[v] == side_is_left && !frozen.contains(&v))
-            .collect();
-        let side_ids: Vec<NodeId> = side.iter().map(|&v| NodeId::new(v)).collect();
-        let Ok((sub, back)) = graph.induced(&side_ids) else {
-            return;
-        };
-        let local: std::collections::HashMap<usize, usize> =
-            side.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let local_sources: Vec<NodeId> = sources
-            .iter()
-            .filter_map(|s| local.get(&s.index()).map(|&i| NodeId::new(i)))
-            .collect();
-        if local_sources.is_empty() {
-            return;
-        }
-        let dist = multi_source_distances(&sub, &local_sources);
-        // Wrong colour on this side: black-on-left or white-on-right.
-        let mut wrong: Vec<usize> = side
-            .iter()
-            .copied()
-            .filter(|&v| white[v] != in_left[v] && !used.contains(&v))
-            .collect();
-        wrong.sort_unstable_by_key(|&v| (dist[local[&v]], v));
-        for v in wrong {
-            if used.contains(&v) {
-                continue;
-            }
-            let Some(dv) = dist[local[&v]] else { continue };
-            if dv == 0 {
-                continue; // already at the channel, waiting for the partner
-            }
-            // Step toward the channel through a right-coloured neighbour.
-            let mut cands: Vec<usize> = sub
-                .neighbors(NodeId::new(local[&v]))
-                .map(|u| back[u.index()].index())
-                .filter(|&u| {
-                    !used.contains(&u)
-                        && white[u] == in_left[u]
-                        && dist[local[&u]].is_some_and(|du| du + 1 == dv)
-                })
-                .collect();
-            cands.sort_unstable();
-            if let Some(&u) = cands.first() {
-                do_swap(v, u, white, dest, used, level);
-            }
-        }
-    };
-    funnel(true, white, dest, &mut used, &mut level, frozen);
-    funnel(false, white, dest, &mut used, &mut level, frozen);
-
-    level
 }
 
 /// A simple baseline router for comparison: completes the wildcard values

@@ -40,7 +40,7 @@ use qcp_graph::{Graph, NodeId};
 
 use crate::cost::{CostEngine, PlacedGate, Schedule};
 use crate::placer::{PlacementOutcome, Placer, Stage};
-use crate::router::{route_permutation, SwapSchedule};
+use crate::router::{Router, SwapSchedule};
 use crate::{PlaceError, Placement, Result};
 
 /// Which placement strategy drives [`Placer::place`].
@@ -714,9 +714,8 @@ fn greedy_anneal(
 /// Turns a (possibly non-monomorphic) whole-circuit placement into an
 /// executable staged outcome: gates run in order, and whenever an
 /// interaction lands on nuclei without a fast coupling, both values are
-/// routed to the nearest fast edge through
-/// [`route_permutation`] — the §5.2 parallel SWAP router — opening a new
-/// stage.
+/// routed to the nearest fast edge through a [`Router`] — the §5.2
+/// parallel SWAP router, one per call — opening a new stage.
 fn build_routed_outcome(
     placer: &Placer<'_>,
     circuit: &Circuit,
@@ -735,6 +734,7 @@ fn build_routed_outcome(
         .map(|(a, b, _)| (a.index(), b.index()))
         .collect();
 
+    let mut router = Router::new(routing, placer.config().router);
     let mut stages: Vec<Stage> = Vec::new();
     let mut schedule = Schedule::new();
     let mut current = initial;
@@ -797,7 +797,7 @@ fn build_routed_outcome(
         let mut targets: Vec<Option<usize>> = vec![None; m];
         targets[pa] = Some(u);
         targets[pb] = Some(v);
-        let swaps = route_permutation(routing, &targets, &placer.config().router)?;
+        let swaps = router.route(&targets)?;
         // Commit the stage that ran before this routing event.
         close_stage(
             &mut stages,

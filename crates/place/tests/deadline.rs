@@ -19,7 +19,8 @@ use qcp_place::{PlaceError, Placer, PlacerConfig, SearchBudget, Strategy};
 /// Generous scheduler-noise allowance on top of the deadline. The kernel
 /// overshoot itself is bounded by one poll stride (~sub-millisecond); the
 /// slack absorbs coarse checkpoints between searches and CI jitter.
-/// qft6@grid:8x8 runs for many *seconds* unbudgeted, so the bound stays
+/// aqft12@grid:16x16 runs for seconds of exact search unbudgeted (about
+/// 3.8 s in a release build on a 2-core host), so the bound stays
 /// meaningful with room to spare.
 const SLACK: Duration = Duration::from_millis(750);
 
@@ -102,8 +103,11 @@ fn collection_polls_the_deadline_on_the_meter_not_per_root() {
 
 #[test]
 fn exact_placement_respects_wall_clock_deadlines() {
-    let env = grid_8x8();
-    let circuit = qcp_circuit::library::named("qft6").expect("library circuit");
+    let env = "grid:16x16"
+        .parse::<TopologySpec>()
+        .expect("spec")
+        .build(Delays::uniform(10.0));
+    let circuit = qcp_circuit::library::named("aqft12").expect("library circuit");
     for deadline_ms in [5_u64, 25, 60] {
         let deadline = Duration::from_millis(deadline_ms);
         let config = PlacerConfig::with_threshold(env.connectivity_threshold().expect("threshold"))
@@ -117,7 +121,7 @@ fn exact_placement_respects_wall_clock_deadlines() {
             elapsed <= deadline + SLACK,
             "deadline {deadline_ms} ms overshot: took {elapsed:?}"
         );
-        // qft6@grid:8x8 cannot finish exact search in tens of
+        // aqft12@grid:16x16 cannot finish exact search in tens of
         // milliseconds; the budget error is the expected shape.
         assert!(
             matches!(result, Err(PlaceError::BudgetExhausted { .. })),

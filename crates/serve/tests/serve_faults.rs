@@ -302,13 +302,14 @@ fn deadline_exhaustion_degrades_hybrid_and_faults_exact() {
     let server = chaos_server(ServeConfig::default().workers(2));
     let addr = server.local_addr();
 
-    // qft6 on grid:8x8 takes many seconds of exact search unbudgeted. A
-    // hybrid request with a tight deadline must still answer 200 — just
-    // with a degraded resolution label — and within bounded wall clock.
+    // aqft12 on grid:16x16 takes seconds of exact search unbudgeted (about
+    // 3.8 s in a release build on a 2-core host). A hybrid request with a
+    // tight deadline must still answer 200 — just with a degraded
+    // resolution label — and within bounded wall clock.
     let t0 = Instant::now();
     let reply = chaos::post(
         addr,
-        "/place?circuit=qft6&env=grid:8x8&strategy=hybrid&budget_ms=300",
+        "/place?circuit=aqft12&env=grid:16x16&strategy=hybrid&budget_ms=300",
         &[],
         "",
     )
@@ -327,7 +328,7 @@ fn deadline_exhaustion_degrades_hybrid_and_faults_exact() {
     // trips and the taxonomy says so (504 / exit 3).
     let reply = chaos::post(
         addr,
-        "/place?circuit=qft6&env=grid:8x8&strategy=exact&budget_ms=100",
+        "/place?circuit=aqft12&env=grid:16x16&strategy=exact&budget_ms=100",
         &[],
         "",
     )
@@ -501,7 +502,7 @@ fn full_gauntlet_one_process_survives_every_fault_class() {
     // 6. Deadline-exhausting circuit, degraded not dead.
     let reply = chaos::post(
         addr,
-        "/place?circuit=qft6&env=grid:8x8&strategy=hybrid&budget_ms=250",
+        "/place?circuit=aqft12&env=grid:16x16&strategy=hybrid&budget_ms=250",
         &[],
         "",
     )
