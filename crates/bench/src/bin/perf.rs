@@ -1,4 +1,3 @@
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 //! `perf` — runs the hot-path suites and writes `BENCH_PLACE.json`, or
 //! gates a fresh run against the committed baseline.
 //!
@@ -16,18 +15,42 @@
 //! than the configured factor; cases present in only one file (quick and
 //! full runs size some suites differently) and cases under the
 //! `--min-ns` noise floor are skipped.
+//!
+//! `--help` prints the usage. An unknown flag, a missing value or a bad
+//! number prints it and exits 2 before any suite runs or file is written.
 
 use qcp_bench::perf;
 
+const USAGE: &str = "\
+usage: perf [--quick] [--baseline <file>] [--out <file>]
+       perf compare <baseline.json> <current.json> [--max-slowdown 1.25] [--min-ns 1000] \
+[--max-scaling-ratio 1.10]
+
+Without --out, the run writes BENCH_PLACE.json in the working directory.";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
+    }
     if args.first().map(String::as_str) == Some("compare") {
         run_compare(&args[1..]);
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_PLACE.json".to_string());
-    let baseline = match flag_value(&args, "--baseline") {
+    let mut quick = false;
+    let mut out_path = "BENCH_PLACE.json".to_string();
+    let mut baseline_path = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out" => out_path = flag_value(&mut it, arg),
+            "--baseline" => baseline_path = Some(flag_value(&mut it, arg)),
+            other => usage_error(&format!("unknown argument `{other}`")),
+        }
+    }
+    let baseline = match baseline_path {
         Some(path) => read_medians(&path),
         None => Default::default(),
     };
@@ -57,25 +80,29 @@ fn main() {
 }
 
 /// `perf compare <baseline.json> <current.json> [--max-slowdown f]
-/// [--min-ns n]`: the CI perf-regression gate.
+/// [--min-ns n] [--max-scaling-ratio f]`: the CI perf-regression gate.
 fn run_compare(args: &[String]) {
-    let split = args
-        .iter()
-        .position(|a| a.starts_with("--"))
-        .unwrap_or(args.len());
-    let positional: Vec<&String> = args[..split].iter().collect();
-    let flagged: Vec<String> = args[split..].to_vec();
+    let mut max_slowdown = 1.25;
+    let mut min_ns = 1_000;
+    // Batch scaling honesty: on a multi-core host the jobs4 runs must
+    // actually beat (or at least match) jobs1; on a single-core host the
+    // ratios are reported but not asserted — 4 workers there time thread
+    // overhead by construction.
+    let mut max_ratio = 1.10;
+    let mut positional = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--max-slowdown" => max_slowdown = number(arg, &flag_value(&mut it, arg)),
+            "--min-ns" => min_ns = number(arg, &flag_value(&mut it, arg)),
+            "--max-scaling-ratio" => max_ratio = number(arg, &flag_value(&mut it, arg)),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown argument `{flag}`")),
+            path => positional.push(path),
+        }
+    }
     let [baseline_path, current_path] = positional[..] else {
-        eprintln!(
-            "usage: perf compare <baseline.json> <current.json> \
-             [--max-slowdown 1.25] [--min-ns 1000] [--max-scaling-ratio 1.10]"
-        );
-        std::process::exit(2);
+        usage_error("compare needs exactly two files");
     };
-    let max_slowdown: f64 = flag_value(&flagged, "--max-slowdown")
-        .map_or(1.25, |v| v.parse().expect("--max-slowdown needs a number"));
-    let min_ns: u64 = flag_value(&flagged, "--min-ns")
-        .map_or(1_000, |v| v.parse().expect("--min-ns needs an integer"));
     // Gate on per-case minima (falling back to medians for old files):
     // load only ever inflates a sample, so minima are stable across
     // shared CI runners where medians flake.
@@ -83,14 +110,7 @@ fn run_compare(args: &[String]) {
     let current = read_metric(current_path, perf::parse_gate_metric);
     let cmp = perf::compare(&baseline, &current, max_slowdown, min_ns);
     print!("{}", cmp.render());
-    // Batch scaling honesty: on a multi-core host the jobs4 runs must
-    // actually beat (or at least match) jobs1; on a single-core host the
-    // ratios are reported but not asserted — 4 workers there time thread
-    // overhead by construction.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let max_ratio: f64 = flag_value(&flagged, "--max-scaling-ratio").map_or(1.10, |v| {
-        v.parse().expect("--max-scaling-ratio needs a number")
-    });
     let scaling = perf::scaling_check(&current, cores, max_ratio);
     print!("{}", scaling.render());
     let regressions = cmp.regressions().len();
@@ -102,6 +122,26 @@ fn run_compare(args: &[String]) {
         std::process::exit(1);
     }
     println!("perf compare: ok");
+}
+
+/// Prints `message` and the usage, then exits 2 (bad invocation).
+fn usage_error(message: &str) -> ! {
+    eprintln!("perf: {message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, or a usage error when it is missing.
+fn flag_value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> String {
+    it.next()
+        .cloned()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+}
+
+/// `value` parsed as `flag`'s number, or a usage error.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} needs a number, got `{value}`")))
 }
 
 fn read_medians(path: &str) -> std::collections::BTreeMap<String, u64> {
@@ -119,11 +159,4 @@ fn read_metric(
             std::process::exit(1);
         }
     }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

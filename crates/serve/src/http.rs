@@ -289,27 +289,27 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Writes a complete JSON response (`Connection: close`) and flushes.
+/// Writes a complete JSON response (`Connection: close`) with one
+/// `write_all` of head and body together, and flushes.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures; callers treat a failed write as a dead
 /// client and simply drop the connection.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     reason: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    let head = format!(
+    let response = format!(
         "HTTP/1.1 {status} {reason}\r\n\
          content-type: application/json\r\n\
          content-length: {}\r\n\
-         connection: close\r\n\r\n",
+         connection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -415,6 +415,26 @@ mod tests {
             roundtrip(b"GET / SMTP/9\r\n\r\n", &Limits::default()),
             Err(RequestError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_pinned_bytes() {
+        /// Records each `write` call's bytes.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut writes = Writes(Vec::new());
+        write_response(&mut writes, 404, "Not Found", "{\"ok\":false}").unwrap();
+        let wire: &[u8] = b"HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\n\
+                            content-length: 12\r\nconnection: close\r\n\r\n{\"ok\":false}";
+        assert_eq!(writes.0, [wire]);
     }
 
     #[test]

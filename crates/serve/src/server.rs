@@ -18,9 +18,13 @@
 //! it), every counter is an atomic, and all placement state is job-local
 //! — so a panicking job cannot leave anything behind for a sibling to
 //! trip over.
+//!
+//! No thread polls. The acceptor sleeps in a blocking `accept` and the
+//! workers in `Condvar::wait`; a drain wakes the workers with
+//! `notify_all` and the acceptor with one loopback connection.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -218,6 +222,8 @@ struct Stats {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Connections accepted (including ones later shed or failed).
+    /// Connections accepted after the drain flag is set are answered
+    /// `503` and not counted, drain's own wake-up connection among them.
     pub accepted: u64,
     /// Requests answered `200`.
     pub served_ok: u64,
@@ -273,6 +279,10 @@ impl StatsSnapshot {
 
 struct Shared {
     config: ServeConfig,
+    /// The listener's bound address.
+    local_addr: SocketAddr,
+    /// Worker threads spawned at start.
+    workers: usize,
     draining: AtomicBool,
     queue: Mutex<VecDeque<TcpStream>>,
     available: Condvar,
@@ -313,16 +323,38 @@ impl Shared {
         self.draining.load(Ordering::SeqCst)
     }
 
+    /// Sets the drain flag and wakes every sleeping thread. The flag
+    /// flips under the queue lock, which a worker holds from its flag
+    /// check until `wait` releases it, so no worker can miss the
+    /// `notify_all`. The first call also wakes the acceptor out of its
+    /// blocking `accept` with one loopback connection.
     fn drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        let already = {
+            let _queue = self.queue();
+            self.draining.swap(true, Ordering::SeqCst)
+        };
         self.available.notify_all();
+        if !already {
+            let _ = TcpStream::connect_timeout(&wake_addr(self.local_addr), Duration::from_secs(1));
+        }
     }
+}
+
+/// The address drain's wake-up connection dials: the listener's own, with
+/// an unspecified IP (`0.0.0.0`, `[::]`) replaced by loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// A running daemon; dropping it without [`Server::drain`] +
 /// [`Server::join`] detaches the threads.
 pub struct Server {
-    local_addr: SocketAddr,
     shared: Arc<Shared>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -330,7 +362,7 @@ pub struct Server {
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("local_addr", &self.local_addr)
+            .field("local_addr", &self.shared.local_addr)
             .field("draining", &self.shared.is_draining())
             .finish_non_exhaustive()
     }
@@ -346,11 +378,12 @@ impl Server {
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let workers = config.resolved_workers();
         let cache = (config.cache_entries > 0).then(|| PlacementCache::new(config.cache_entries));
         let shared = Arc::new(Shared {
             config,
+            local_addr,
+            workers,
             draining: AtomicBool::new(false),
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
@@ -375,16 +408,12 @@ impl Server {
                     .spawn(move || worker_loop(&shared))?,
             );
         }
-        Ok(Server {
-            local_addr,
-            shared,
-            threads,
-        })
+        Ok(Server { shared, threads })
     }
 
     /// The bound address (useful with port `0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.local_addr
     }
 
     /// Requests a graceful drain: stop accepting, finish queued and
@@ -411,7 +440,7 @@ impl Server {
 
     /// Number of resolved worker threads (excludes the acceptor).
     pub fn worker_count(&self) -> usize {
-        self.threads.len() - 1
+        self.shared.workers
     }
 
     /// Blocks until the daemon exits (drain requested — by
@@ -448,18 +477,14 @@ impl std::fmt::Debug for DrainHandle {
 }
 
 fn acceptor_loop(shared: &Shared, listener: &TcpListener) {
-    loop {
-        if shared.is_draining() {
-            break;
-        }
+    while !shared.is_draining() {
         match listener.accept() {
             Ok((stream, _)) => {
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_nonblocking(false);
                 if shared.is_draining() {
                     quick_reject(stream, ErrorKind::Draining, "server is draining");
                     break;
                 }
+                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                 let mut queue = shared.queue();
                 if queue.len() >= shared.config.queue_depth {
                     drop(queue);
@@ -471,15 +496,11 @@ fn acceptor_loop(shared: &Shared, listener: &TcpListener) {
                     shared.available.notify_one();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // EMFILE and the like persist until a descriptor frees up;
+            // back off instead of spinning on them.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
-    // Drain: wake every worker so they can observe the flag and exit once
-    // the queue empties.
-    shared.available.notify_all();
 }
 
 fn quick_reject(mut stream: TcpStream, kind: ErrorKind, message: &str) {
@@ -521,11 +542,10 @@ fn worker_loop(shared: &Shared) {
                 if shared.is_draining() {
                     break None;
                 }
-                let (guard, _) = shared
+                queue = shared
                     .available
-                    .wait_timeout(queue, Duration::from_millis(50))
+                    .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
             }
         };
         let Some(stream) = job else {
@@ -635,7 +655,7 @@ fn healthz_body(shared: &Shared) -> String {
     let mut o = Obj::new();
     o.bool("ok", true)
         .bool("draining", shared.is_draining())
-        .u64("workers", shared.config.resolved_workers() as u64)
+        .u64("workers", shared.workers as u64)
         .u64("queue_depth", shared.config.queue_depth as u64)
         .u64("queued", shared.queue().len() as u64)
         .u64("active", shared.active.load(Ordering::SeqCst) as u64)

@@ -8,9 +8,11 @@
 //! correct placement on the very next request. The process never dies:
 //! the final drain/join returning at all is the liveness proof.
 
+use std::net::SocketAddr;
+use std::sync::mpsc::{self, Receiver};
 use std::time::{Duration, Instant};
 
-use qcp_serve::{chaos, ServeConfig, Server};
+use qcp_serve::{chaos, ServeConfig, Server, StatsSnapshot};
 
 fn chaos_server(config: ServeConfig) -> Server {
     Server::start(config.addr("127.0.0.1:0").chaos(true)).expect("bind 127.0.0.1:0")
@@ -456,6 +458,89 @@ fn graceful_drain_finishes_queued_work_then_exits() {
     let stats = server.join();
     assert!(stats.served_ok >= 2, "{stats:?}");
     assert_eq!(stats.panics, 0);
+}
+
+/// Runs [`Server::join`] on a thread of its own and returns once that
+/// thread has started. Waiting on the receiver with a timeout turns a
+/// drain that never wakes the daemon into a test failure instead of a
+/// hang.
+fn spawn_join(server: Server) -> Receiver<StatsSnapshot> {
+    let (started_tx, started_rx) = mpsc::channel();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = started_tx.send(());
+        let _ = tx.send(server.join());
+    });
+    started_rx.recv().expect("join thread started");
+    rx
+}
+
+/// The final counters, if `join` returns by `deadline`.
+fn joined_by(rx: &Receiver<StatsSnapshot>, deadline: Instant) -> StatsSnapshot {
+    let limit = deadline.saturating_duration_since(Instant::now());
+    rx.recv_timeout(limit)
+        .expect("join did not return within the drain deadline")
+}
+
+const DRAIN_LIMIT: Duration = Duration::from_secs(1);
+
+#[test]
+fn idle_drain_wakes_the_blocked_acceptor_and_workers() {
+    // `Server::drain` on a server that never saw a connection.
+    let server = chaos_server(ServeConfig::default().workers(2));
+    let deadline = Instant::now() + DRAIN_LIMIT;
+    server.drain();
+    let stats = joined_by(&spawn_join(server), deadline);
+    // Drain's own wake-up connection is not counted.
+    assert_eq!(stats.accepted, 0, "{stats:?}");
+
+    // `DrainHandle::drain` from another thread while `join` blocks (the
+    // CLI's stdin watcher).
+    let server = chaos_server(ServeConfig::default().workers(2));
+    let handle = server.drain_handle();
+    let rx = spawn_join(server);
+    let deadline = Instant::now() + DRAIN_LIMIT;
+    handle.drain();
+    let stats = joined_by(&rx, deadline);
+    assert_eq!(stats.accepted, 0, "{stats:?}");
+
+    // `POST /admin/drain`: the worker that answers it wakes the acceptor.
+    let server = chaos_server(ServeConfig::default().workers(2));
+    let addr = server.local_addr();
+    let rx = spawn_join(server);
+    let deadline = Instant::now() + DRAIN_LIMIT;
+    let reply = chaos::post(addr, "/admin/drain", &[], "").expect("drain");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let stats = joined_by(&rx, deadline);
+    assert_eq!(stats.accepted, 1, "{stats:?}");
+}
+
+#[test]
+fn drain_wakes_a_listener_bound_to_the_unspecified_address() {
+    let server =
+        Server::start(ServeConfig::default().addr("0.0.0.0:0").workers(1)).expect("bind 0.0.0.0:0");
+    let loopback = SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
+    let reply = chaos::post(loopback, GOOD, &[], "").expect("place through loopback");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+
+    let deadline = Instant::now() + DRAIN_LIMIT;
+    server.drain();
+    let stats = joined_by(&spawn_join(server), deadline);
+    assert_eq!(stats.accepted, 1, "{stats:?}");
+    assert_eq!(stats.served_ok, 1, "{stats:?}");
+
+    // The old port refuses, or answers 503; it never hangs.
+    let probe = b"GET /healthz HTTP/1.1\r\nhost: qcp\r\n\r\n";
+    match chaos::send_raw(loopback, probe, Duration::from_secs(2)) {
+        Ok(reply) => assert_eq!(reply.status, 503, "{}", reply.body),
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::ConnectionRefused | std::io::ErrorKind::ConnectionReset
+            ),
+            "probe after join: {e}"
+        ),
+    }
 }
 
 #[test]
