@@ -29,7 +29,7 @@ use qcp_graph::vf2::{Budget, MonomorphismFinder};
 use qcp_graph::{generate, Graph};
 use qcp_place::baselines::exhaustive_placement;
 use qcp_place::cost::CostModel;
-use qcp_place::router::{route_permutation, RouterConfig};
+use qcp_place::router::{route_permutation, Router, RouterConfig};
 use qcp_place::{
     execute, execute_with, BatchPlacer, CanonicalCircuit, PlaceRequest, PlacementCache, Placer,
     PlacerConfig, Resolution, SearchBudget, Strategy,
@@ -170,6 +170,38 @@ pub fn run_suites(quick: bool) -> Vec<PerfCase> {
                 route_permutation(graph, &targets, &RouterConfig::default())
                     .expect("connected graphs route"),
             );
+        });
+    }
+
+    // The router the placer runs: one `Router` per request, reused for
+    // every permutation the request scores. Those are partial: only the
+    // nuclei that host a logical qubit have a destination, the rest are
+    // wildcards. Each iteration routes 256 seeded ones through a new
+    // router.
+    let grid8x8 = generate::grid(8, 8);
+    let reused: [(&'static str, &Graph, usize); 2] = [
+        ("router/reused-histidine-bonds", &histidine, 9),
+        ("router/reused-grid8x8", &grid8x8, 12),
+    ];
+    for (name, graph, occupied) in reused {
+        let mut rng = StdRng::seed_from_u64(7);
+        let n = graph.node_count();
+        let routes: Vec<Vec<Option<usize>>> = (0..256)
+            .map(|_| {
+                let from = generate::random_permutation(n, &mut rng);
+                let to = generate::random_permutation(n, &mut rng);
+                let mut targets = vec![None; n];
+                for (&v, &d) in from.iter().zip(&to).take(occupied) {
+                    targets[v] = Some(d);
+                }
+                targets
+            })
+            .collect();
+        case("router", name, &mut || {
+            let mut router = Router::new(graph, RouterConfig::default());
+            for targets in &routes {
+                black_box(router.route(targets).expect("connected graphs route"));
+            }
         });
     }
 

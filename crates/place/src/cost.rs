@@ -16,8 +16,6 @@
 //! consecutive couplings on the same pair is charged at most `3 · W`
 //! ([`CostModel::reuse_cap`]).
 
-use std::collections::HashMap;
-
 use qcp_circuit::{Circuit, Gate, Time};
 use qcp_env::{Environment, PhysicalQubit};
 
@@ -185,26 +183,40 @@ impl Schedule {
 /// Incremental runtime evaluator — the paper's `Time[1..n]` array with the
 /// reuse-cap bookkeeping. Forkable, so the placer can score candidate
 /// continuations cheaply.
+///
+/// The reuse cap needs to know, per coupling gate on `(i, j)`, whether it
+/// continues a run of consecutive couplings on that pair. Two slots per
+/// nucleus answer it: `partner[i]`, the last coupling partner of `i`, and
+/// `run[i]`, the accumulated `T` of the run `i` last joined. A gate on
+/// `(i, j)` continues a run iff `partner[i] == j && partner[j] == i`: then
+/// the last coupling gate on `i` and the last on `j` are one and the same
+/// `(i, j)` gate, which wrote both `run` slots, so `run[i]` is that run's
+/// total.
 #[derive(Clone, Debug)]
 pub struct CostEngine<'a> {
     env: &'a Environment,
     model: CostModel,
     times: Vec<f64>,
-    /// Last coupling partner of each nucleus, used for the reuse cap.
-    last_pair: Vec<Option<(u32, u32)>>,
-    /// Accumulated `T` of the live run on each pair.
-    runs: HashMap<(u32, u32), f64>,
+    /// Last coupling partner of each nucleus (`u32::MAX` for none, or
+    /// after a costed single-qubit pulse broke the run).
+    partner: Vec<u32>,
+    /// Accumulated `T` of the run each nucleus last joined.
+    run: Vec<f64>,
 }
+
+/// The `partner` slot of a nucleus with no live coupling run.
+const NO_PARTNER: u32 = u32::MAX;
 
 impl<'a> CostEngine<'a> {
     /// A fresh engine over idle nuclei.
     pub fn new(env: &'a Environment, model: CostModel) -> Self {
+        let m = env.qubit_count();
         CostEngine {
             env,
             model,
-            times: vec![0.0; env.qubit_count()],
-            last_pair: vec![None; env.qubit_count()],
-            runs: HashMap::new(),
+            times: vec![0.0; m],
+            partner: vec![NO_PARTNER; m],
+            run: vec![0.0; m],
         }
     }
 
@@ -218,8 +230,9 @@ impl<'a> CostEngine<'a> {
     ///
     /// This is the cheap half of the fork-arena pattern: the placer keeps
     /// one (or two, with lookahead) scratch engines alive and resets them
-    /// per candidate instead of cloning a fresh `CostEngine` — `Vec` and
-    /// `HashMap` buffers are reused across thousands of scoring calls.
+    /// per candidate instead of cloning a fresh `CostEngine` — the state is
+    /// three vectors of one slot per nucleus, copied into buffers reused
+    /// across thousands of scoring calls.
     ///
     /// # Panics
     ///
@@ -231,8 +244,8 @@ impl<'a> CostEngine<'a> {
         );
         self.model = other.model;
         self.times.clone_from(&other.times);
-        self.last_pair.clone_from(&other.last_pair);
-        self.runs.clone_from(&other.runs);
+        self.partner.clone_from(&other.partner);
+        self.run.clone_from(&other.run);
     }
 
     /// Applies a circuit bound to nuclei through `placement`, level by
@@ -252,11 +265,16 @@ impl<'a> CostEngine<'a> {
     }
 
     /// Applies levels of SWAP gates (weight 3 each) without materializing
-    /// an intermediate [`Schedule`].
-    pub fn apply_swap_levels(&mut self, levels: &[Vec<(PhysicalQubit, PhysicalQubit)>]) {
+    /// an intermediate [`Schedule`]. Takes any sequence of level slices: a
+    /// [`SwapSchedule`](crate::router::SwapSchedule)'s `levels()`, or a
+    /// router's swap buffer read level by level.
+    pub fn apply_swap_levels<L>(&mut self, levels: impl IntoIterator<Item = L>)
+    where
+        L: AsRef<[(PhysicalQubit, PhysicalQubit)]>,
+    {
         for level in levels {
             self.level_barrier();
-            for &(a, b) in level {
+            for &(a, b) in level.as_ref() {
                 let _ = self.apply_gate(&PlacedGate::swap(a, b));
             }
         }
@@ -281,25 +299,20 @@ impl<'a> CostEngine<'a> {
                 // only if it costs time (free Rz gates commute with the
                 // drift Hamiltonian bookkeeping).
                 if gate.weight > 0.0 {
-                    self.last_pair[i] = None;
+                    self.partner[i] = NO_PARTNER;
                 }
                 (start, self.times[i])
             }
             Some(b) => {
                 let (i, j) = (gate.a.index(), b.index());
-                let key = (i.min(j) as u32, i.max(j) as u32);
                 let effective = match self.model.reuse_cap {
                     None => gate.weight,
                     Some(cap) => {
-                        let continuing =
-                            self.last_pair[i] == Some(key) && self.last_pair[j] == Some(key);
-                        let prev = if continuing {
-                            *self.runs.get(&key).unwrap_or(&0.0)
-                        } else {
-                            0.0
-                        };
+                        let continuing = self.partner[i] == j as u32 && self.partner[j] == i as u32;
+                        let prev = if continuing { self.run[i] } else { 0.0 };
                         let total = prev + gate.weight;
-                        self.runs.insert(key, total);
+                        self.run[i] = total;
+                        self.run[j] = total;
                         total.min(cap) - prev.min(cap)
                     }
                 };
@@ -317,8 +330,8 @@ impl<'a> CostEngine<'a> {
                 };
                 self.times[i] = finish;
                 self.times[j] = finish;
-                self.last_pair[i] = Some(key);
-                self.last_pair[j] = Some(key);
+                self.partner[i] = j as u32;
+                self.partner[j] = i as u32;
                 (start, finish)
             }
         }

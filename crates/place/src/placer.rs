@@ -341,9 +341,9 @@ impl<'e> Placer<'e> {
 
         let mut engine = CostEngine::new(self.env, self.config.cost_model);
         // Fork arena: a scratch engine reset per scoring call instead of
-        // cloning a fresh CostEngine (times/last-pair/runs buffers) for
-        // every fine-tuning probe and commit (candidate selection keeps
-        // its own forks).
+        // cloning a fresh CostEngine (times/partner/run buffers) for every
+        // fine-tuning probe and commit (candidate selection keeps its own
+        // forks).
         let mut fork = CostEngine::new(self.env, self.config.cost_model);
         // One router per request: every permutation scored below routes
         // over the same graph and reuses its bisections and buffers.
@@ -451,6 +451,11 @@ impl<'e> Placer<'e> {
                     .map(|v| Qubit::new(v.index()))
                     .collect();
                 if !movable.is_empty() {
+                    let pairs: Vec<(Qubit, Qubit)> = ws
+                        .interaction
+                        .edges()
+                        .map(|(a, b, _)| (Qubit::new(a.index()), Qubit::new(b.index())))
+                        .collect();
                     let result = fine_tune(
                         chosen,
                         &movable,
@@ -462,17 +467,29 @@ impl<'e> Placer<'e> {
                             if !meter.consume(1) {
                                 return f64::INFINITY;
                             }
-                            match self.score_into(
+                            // A workspace pair on an uncoupled nucleus
+                            // pair makes the makespan ∞ whatever the swaps
+                            // (`CostEngine::apply_gate`), and fine tuning
+                            // accepts only finite improvements: skip the
+                            // route.
+                            let uncoupled = pairs.iter().any(|&(a, b)| {
+                                !self
+                                    .env
+                                    .weight_units(pl.physical(a), pl.physical(b))
+                                    .is_finite()
+                            });
+                            if uncoupled {
+                                return f64::INFINITY;
+                            }
+                            self.score_into(
                                 &engine,
                                 previous.as_ref(),
                                 pl,
                                 ws,
                                 &mut fork,
                                 &mut router,
-                            ) {
-                                Ok((c, _)) => c,
-                                Err(_) => f64::INFINITY,
-                            }
+                            )
+                            .unwrap_or(f64::INFINITY)
                         },
                         self.config.fine_tune_rounds,
                     );
@@ -483,8 +500,9 @@ impl<'e> Placer<'e> {
                 }
             }
 
-            // Commit: swap stage + placed subcircuit.
-            let (_, swaps) = self.score_into(
+            // Commit: swap stage + placed subcircuit. The one route that
+            // is kept: copy it out of the router.
+            self.score_into(
                 &engine,
                 previous.as_ref(),
                 &chosen,
@@ -492,6 +510,7 @@ impl<'e> Placer<'e> {
                 &mut fork,
                 &mut router,
             )?;
+            let swaps = router.schedule();
             std::mem::swap(&mut engine, &mut fork);
             let swap_schedule = swaps.to_schedule();
             schedule.extend(&swap_schedule);
@@ -516,10 +535,11 @@ impl<'e> Placer<'e> {
 
     /// Scores one candidate continuation: swap from `previous` to `cand`,
     /// then run `ws` under `cand`, evaluated on `fork` (reset to `base`'s
-    /// state first, reusing its buffers). Returns the resulting makespan
-    /// and the swap schedule; `fork` is left holding the post-candidate
-    /// state for lookahead continuations or commitment. The swaps come
-    /// from `router`, the request's router over the routing graph.
+    /// state first, reusing its buffers). Returns the resulting makespan;
+    /// `fork` is left holding the post-candidate state for lookahead
+    /// continuations or commitment. The swaps come from `router`, the
+    /// request's router over the routing graph, and stay in its swap
+    /// buffer (empty when no swap is needed) until its next route.
     fn score_into(
         &self,
         base: &CostEngine<'e>,
@@ -528,16 +548,17 @@ impl<'e> Placer<'e> {
         ws: &Workspace,
         fork: &mut CostEngine<'e>,
         router: &mut Router<'_>,
-    ) -> Result<(f64, SwapSchedule)> {
-        let swaps = match previous {
-            None => SwapSchedule::default(),
-            Some(prev) if prev.same_assignment(cand) => SwapSchedule::default(),
-            Some(prev) => router.route(&prev.permutation_to(cand))?,
-        };
+    ) -> Result<f64> {
+        match previous {
+            Some(prev) if !prev.same_assignment(cand) => {
+                router.route_in_place(&prev.permutation_to(cand))?;
+            }
+            _ => router.clear(),
+        }
         fork.copy_from(base);
-        fork.apply_swap_levels(swaps.levels());
+        fork.apply_swap_levels(router.levels());
         fork.apply_placed_circuit(&ws.circuit, cand);
-        Ok((fork.makespan().units(), swaps))
+        Ok(fork.makespan().units())
     }
 
     /// Picks the stage winner: the candidate minimizing the (lookahead)
@@ -600,7 +621,7 @@ impl<'e> Placer<'e> {
                 if la.is_none() && lb.total_cmp(&best_cost).is_gt() {
                     break; // sorted by bound: nothing later can be cheaper
                 }
-                let Ok((cost, _)) =
+                let Ok(cost) =
                     self.score_into(engine, previous, &candidates[ci], ws, &mut fork, router)
                 else {
                     continue;
@@ -704,7 +725,7 @@ impl<'e> Placer<'e> {
         fork2: &mut CostEngine<'e>,
         router: &mut Router<'_>,
     ) -> Option<f64> {
-        let (cost, _) = self
+        let cost = self
             .score_into(engine, previous, cand, ws, fork, router)
             .ok()?;
         let Some((next_cands, next_ws, floors)) = lookahead else {
@@ -730,7 +751,7 @@ impl<'e> Placer<'e> {
             {
                 break; // sorted: the min cannot improve below the bound
             }
-            if let Ok((c2, _)) =
+            if let Ok(c2) =
                 self.score_into(fork, Some(cand), &next_cands[ni], next_ws, fork2, router)
             {
                 best_next = best_next.min(c2);

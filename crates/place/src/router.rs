@@ -134,7 +134,7 @@ pub fn route_permutation(
 /// A placement request routes hundreds to thousands of permutations over
 /// the same graph, but the recursion meets only a few dozen distinct
 /// *active sets* (the vertices a `route_rec` level still has to sort). The
-/// router fills three things lazily, on the first route that needs them,
+/// router fills four things lazily, on the first route that needs them,
 /// and keeps them for every later call:
 ///
 /// * the graph's connected components (each in BFS order);
@@ -142,7 +142,12 @@ pub fn route_permutation(
 ///   `u64` bitset words;
 /// * the colour, freeze, level, distance and queue buffers of the
 ///   exchange phase, indexed by vertex and reset only where a level
-///   touched them.
+///   touched them;
+/// * one flat swap buffer. The recursion pushes every swap as
+///   `(level, a, b)` in depth-first order; a counting sort by level then
+///   lays the schedule out level by level. Within a level, depth-first
+///   order (left half before right half, component by component) is the
+///   order in which the disjoint sub-schedules run side by side.
 ///
 /// The set alone is an exact key because the bisection of a set is a
 /// function of the set's vertex *order* too, and that order is always the
@@ -153,7 +158,9 @@ pub fn route_permutation(
 ///
 /// [`Router::new`] allocates nothing, so a caller that never routes pays
 /// nothing. Schedules are identical to a fresh [`route_permutation`] call
-/// for every input, whatever the router routed before.
+/// for every input, whatever the router routed before. The placer scores
+/// most routes straight from the swap buffer and copies a route out into
+/// an owned [`SwapSchedule`] only when it commits one.
 #[derive(Debug)]
 pub struct Router<'g> {
     graph: &'g Graph,
@@ -169,6 +176,14 @@ pub struct Router<'g> {
     /// bitset words.
     splits: HashMap<Box<[u64]>, Split>,
     scratch: Scratch,
+    /// The working copy of the route's targets, and the destinations seen
+    /// while validating them.
+    dest: Vec<Option<usize>>,
+    seen: Vec<bool>,
+    /// The last route's swaps laid out level by level: level `l` is
+    /// `swaps[starts[l]..starts[l + 1]]`. Empty after a failed route.
+    swaps: Vec<(PhysicalQubit, PhysicalQubit)>,
+    starts: Vec<usize>,
 }
 
 /// One memoized bisection of an active set, in graph vertex indices.
@@ -208,6 +223,9 @@ struct Scratch {
     /// Wildcard values being coloured, or wrong-coloured values being
     /// funnelled.
     pending: Vec<usize>,
+    /// Every swap of the route so far as `(level, a, b)`, in depth-first
+    /// order.
+    pushed: Vec<(usize, usize, usize)>,
 }
 
 /// Tests bit `v` of a bitset.
@@ -236,6 +254,10 @@ impl<'g> Router<'g> {
             rank: Vec::new(),
             splits: HashMap::new(),
             scratch: Scratch::default(),
+            dest: Vec::new(),
+            seen: Vec::new(),
+            swaps: Vec::new(),
+            starts: Vec::new(),
         }
     }
 
@@ -246,20 +268,30 @@ impl<'g> Router<'g> {
     ///
     /// The same as [`route_permutation`].
     pub fn route(&mut self, targets: &[Option<usize>]) -> Result<SwapSchedule> {
+        self.route_in_place(targets)?;
+        Ok(self.schedule())
+    }
+
+    /// Routes `targets` into the router's swap buffer, which
+    /// [`levels`](Router::levels) then reads; [`route`](Router::route)
+    /// without the copy-out. A failed route leaves the buffer empty.
+    pub(crate) fn route_in_place(&mut self, targets: &[Option<usize>]) -> Result<()> {
+        self.clear();
         let n = self.graph.node_count();
         if targets.len() != n {
             return Err(PlaceError::InvalidPlacement {
                 message: format!("targets length {} != graph size {n}", targets.len()),
             });
         }
-        let mut seen = vec![false; n];
+        self.seen.clear();
+        self.seen.resize(n, false);
         for t in targets.iter().flatten() {
-            if *t >= n || seen[*t] {
+            if *t >= n || self.seen[*t] {
                 return Err(PlaceError::InvalidPlacement {
                     message: format!("destination {t} repeated or out of range"),
                 });
             }
-            seen[*t] = true;
+            self.seen[*t] = true;
         }
 
         // Validate component-wise reachability, then route each component.
@@ -292,33 +324,81 @@ impl<'g> Router<'g> {
             }
         }
 
-        let mut dest: Vec<Option<usize>> = targets.to_vec();
+        let mut dest = std::mem::take(&mut self.dest);
+        dest.clear();
+        dest.extend_from_slice(targets);
         let components = std::mem::take(&mut self.components);
-        let routed: Result<Vec<Levels>> = components
+        // Components are disjoint: their schedules all start at level 0
+        // and run in parallel.
+        let routed = components
             .iter()
-            .map(|comp| self.route_rec(comp, &mut dest))
-            .collect();
+            .try_for_each(|comp| self.route_rec(comp, &mut dest, 0));
         self.components = components;
-        // Components are disjoint: run their schedules in parallel.
-        let levels = merge_parallel(routed?);
-        Ok(SwapSchedule {
-            levels: levels
-                .into_iter()
-                .map(|lv| {
-                    lv.into_iter()
-                        .map(|(a, b)| (PhysicalQubit::new(a), PhysicalQubit::new(b)))
-                        .collect()
-                })
-                .collect(),
-        })
+        self.dest = dest;
+        routed?;
+
+        // Counting sort of the pushed swaps by level. It is stable, so
+        // each level keeps depth-first order.
+        let pushed = &self.scratch.pushed;
+        let depth = pushed.iter().map(|&(l, _, _)| l + 1).max().unwrap_or(0);
+        let starts = &mut self.starts;
+        starts.resize(depth + 1, 0);
+        for &(l, _, _) in pushed {
+            starts[l + 1] += 1;
+        }
+        for l in 0..depth {
+            starts[l + 1] += starts[l];
+        }
+        debug_assert!(
+            starts.windows(2).all(|w| w[0] < w[1]),
+            "a route left an empty level"
+        );
+        // `starts[l]` is now level `l`'s fill cursor. Each cursor ends on
+        // its level's end, the next level's start, so one rotation turns
+        // the cursors back into starts.
+        let unset = (PhysicalQubit::new(0), PhysicalQubit::new(0));
+        self.swaps.resize(pushed.len(), unset);
+        for &(l, a, b) in pushed {
+            self.swaps[starts[l]] = (PhysicalQubit::new(a), PhysicalQubit::new(b));
+            starts[l] += 1;
+        }
+        starts.rotate_right(1);
+        starts[0] = 0;
+        Ok(())
+    }
+
+    /// The swap levels of the last route, outermost first (none after a
+    /// failed route or a [`clear`](Router::clear)).
+    pub(crate) fn levels(&self) -> impl Iterator<Item = &[(PhysicalQubit, PhysicalQubit)]> {
+        self.starts.windows(2).map(|w| &self.swaps[w[0]..w[1]])
+    }
+
+    /// Copies the last route out into an owned schedule.
+    pub(crate) fn schedule(&self) -> SwapSchedule {
+        SwapSchedule {
+            levels: self.levels().map(<[_]>::to_vec).collect(),
+        }
+    }
+
+    /// Empties the swap buffer: the state of a route that needs no swaps.
+    pub(crate) fn clear(&mut self) {
+        self.scratch.pushed.clear();
+        self.swaps.clear();
+        self.starts.clear();
     }
 
     /// Routes the values of `active` to their destinations (all inside
     /// `active`): bisect, exchange across the channel until both halves
-    /// are colour-pure, then recurse on each half.
-    fn route_rec(&mut self, active: &[usize], dest: &mut [Option<usize>]) -> Result<Levels> {
+    /// are colour-pure, then recurse on each half. The swaps go to the
+    /// swap buffer, the first of them at level `base`.
+    fn route_rec(
+        &mut self,
+        active: &[usize],
+        dest: &mut [Option<usize>],
+        base: usize,
+    ) -> Result<()> {
         if is_done(active, dest) {
-            return Ok(Vec::new());
+            return Ok(());
         }
         if active.len() < 2 {
             // A lone unsatisfied vertex cannot be fixed.
@@ -384,7 +464,7 @@ impl<'g> Router<'g> {
         }
 
         // Exchange phase.
-        let mut levels: Levels = Vec::new();
+        let mut level = base;
         let max_iters = 8 * active.len() + 16; // safety margin over the 8n bound
         for _ in 0..max_iters {
             let misplaced = active
@@ -393,8 +473,7 @@ impl<'g> Router<'g> {
             if !misplaced {
                 break;
             }
-            let level = s.build_level(self.graph, &self.config, active, split, dest);
-            if level.is_empty() {
+            if !s.build_level(self.graph, &self.config, active, split, dest, level) {
                 return Err(PlaceError::RoutingImpossible {
                     stuck: PhysicalQubit::new(
                         active
@@ -405,7 +484,7 @@ impl<'g> Router<'g> {
                     ),
                 });
             }
-            levels.push(level);
+            level += 1;
         }
         debug_assert!(
             active
@@ -414,28 +493,20 @@ impl<'g> Router<'g> {
             "exchange phase exceeded its iteration budget"
         );
 
-        // Recurse on both halves (minus satisfied frozen leaves) in parallel.
+        // Recurse on both halves (minus satisfied frozen leaves) in
+        // parallel: both start at the level after the exchange.
         let remaining = |side: &[usize]| -> Vec<usize> {
             side.iter().copied().filter(|&v| !s.frozen[v]).collect()
         };
         let (la, lb) = (remaining(&split.left), remaining(&split.right));
-        let sub_a = if la.is_empty() {
-            Vec::new()
-        } else {
-            self.route_rec(&la, dest)?
-        };
-        let sub_b = if lb.is_empty() {
-            Vec::new()
-        } else {
-            self.route_rec(&lb, dest)?
-        };
-        levels.extend(merge_parallel(vec![sub_a, sub_b]));
-        Ok(levels)
+        for half in [la, lb] {
+            if !half.is_empty() {
+                self.route_rec(&half, dest, level)?;
+            }
+        }
+        Ok(())
     }
 }
-
-/// Swap levels over graph vertex indices.
-type Levels = Vec<Vec<(usize, usize)>>;
 
 /// Bisects the subgraph induced by `active` (vertex `i` of the induced
 /// graph is `active[i]`) and maps the result back to graph indices.
@@ -468,31 +539,14 @@ fn bisect(graph: &Graph, active: &[usize]) -> Result<Split> {
     })
 }
 
-/// Zips any number of vertex-disjoint level sequences into one.
-fn merge_parallel(mut parts: Vec<Levels>) -> Levels {
-    let depth = parts.iter().map(Vec::len).max().unwrap_or(0);
-    let mut out = Vec::with_capacity(depth);
-    for i in 0..depth {
-        let mut level = Vec::new();
-        for part in &mut parts {
-            if i < part.len() {
-                level.append(&mut part[i]);
-            }
-        }
-        if !level.is_empty() {
-            out.push(level);
-        }
-    }
-    out
-}
-
 fn is_done(active: &[usize], dest: &[Option<usize>]) -> bool {
     active.iter().all(|&v| dest[v].is_none_or(|d| d == v))
 }
 
 impl Scratch {
     /// Builds one parallel swap level over `active` (whose bitset is in
-    /// `self.active`) and applies it to the colours and `dest`.
+    /// `self.active`), pushes its swaps at `level`, and applies it to the
+    /// colours and `dest`. Returns `false` if the level is empty.
     fn build_level(
         &mut self,
         graph: &Graph,
@@ -500,7 +554,8 @@ impl Scratch {
         active: &[usize],
         split: &Split,
         dest: &mut [Option<usize>],
-    ) -> Vec<(usize, usize)> {
+        level: usize,
+    ) -> bool {
         let Scratch {
             active: active_bits,
             white,
@@ -509,21 +564,22 @@ impl Scratch {
             dist,
             queue,
             pending,
+            pushed,
         } = self;
         let is_active = |v: usize| bit(active_bits, v);
         let in_left = |v: usize| bit(&split.left_bits, v);
-        let mut level: Vec<(usize, usize)> = Vec::new();
+        let first = pushed.len();
         let do_swap = |u: usize,
                        v: usize,
                        white: &mut [bool],
                        dest: &mut [Option<usize>],
                        used: &mut [bool],
-                       level: &mut Vec<(usize, usize)>| {
+                       pushed: &mut Vec<(usize, usize, usize)>| {
             dest.swap(u, v);
             white.swap(u, v);
             used[u] = true;
             used[v] = true;
-            level.push((u, v));
+            pushed.push((level, u, v));
         };
 
         // 1. Leaf–target override (§5.3): deliver values straight into leaf
@@ -558,7 +614,7 @@ impl Scratch {
                 if dest[d] == Some(d) {
                     continue;
                 }
-                do_swap(v, d, white, dest, used, &mut level);
+                do_swap(v, d, white, dest, used, pushed);
                 frozen[d] = true;
             }
         }
@@ -571,7 +627,7 @@ impl Scratch {
                 continue;
             }
             if !white[a] && white[b] {
-                do_swap(a, b, white, dest, used, &mut level);
+                do_swap(a, b, white, dest, used, pushed);
             }
         }
 
@@ -628,7 +684,7 @@ impl Scratch {
                             in_side(u) && !used[u] && white[u] == in_left(u) && dist[u] == dv - 1
                         });
                     if let Some(u) = step {
-                        do_swap(v, u, white, dest, used, &mut level);
+                        do_swap(v, u, white, dest, used, pushed);
                     }
                 }
                 for &v in queue.iter() {
@@ -637,11 +693,11 @@ impl Scratch {
             }
         }
 
-        for &(a, b) in &level {
+        for &(_, a, b) in &pushed[first..] {
             used[a] = false;
             used[b] = false;
         }
-        level
+        pushed.len() > first
     }
 }
 
@@ -814,6 +870,8 @@ pub fn verify_schedule(graph: &Graph, targets: &[Option<usize>], schedule: &Swap
 mod tests {
     use super::*;
     use qcp_graph::generate;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn full_targets(perm: &[usize]) -> Vec<Option<usize>> {
         perm.iter().map(|&d| Some(d)).collect()
@@ -993,6 +1051,81 @@ mod tests {
         let s = route_permutation(&g, &t, &RouterConfig::default()).unwrap();
         let costed = s.to_schedule();
         assert_eq!(costed.gate_count(), s.swap_count());
+    }
+
+    /// A seeded permutation of `0..n` with about `share` of the values
+    /// turned into wildcards.
+    fn partial_targets(n: usize, share: f64, rng: &mut StdRng) -> Vec<Option<usize>> {
+        generate::random_permutation(n, rng)
+            .into_iter()
+            .map(|d| (!rng.gen_bool(share)).then_some(d))
+            .collect()
+    }
+
+    /// The scoring path reads each route's levels straight from the
+    /// router's swap buffer. On one router reused across graphs' worth of
+    /// routes, those levels must be the ones `route` copies out, and both
+    /// must be a fresh `route_permutation`'s.
+    #[test]
+    fn buffered_levels_match_route_and_fresh_routes() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let graphs = [
+            generate::chain(9),
+            generate::chain(16),
+            generate::grid(3, 3),
+            generate::grid(4, 5),
+            generate::random_tree(13, &mut rng),
+            generate::random_tree(24, &mut rng),
+            generate::random_connected(16, 8, &mut rng),
+            generate::random_connected(30, 15, &mut rng),
+        ];
+        for g in &graphs {
+            let n = g.node_count();
+            for leaf_override in [true, false] {
+                let config = RouterConfig { leaf_override };
+                let mut router = Router::new(g, config);
+                for call in 0..30 {
+                    let share = [0.0, 0.3, 0.7][call % 3];
+                    let t = partial_targets(n, share, &mut rng);
+                    router.route_in_place(&t).unwrap();
+                    let buffered: Vec<Vec<_>> = router.levels().map(<[_]>::to_vec).collect();
+                    let routed = router.route(&t).unwrap();
+                    assert_eq!(buffered, routed.levels(), "call {call} on {g:?}");
+                    assert_eq!(routed, route_permutation(g, &t, &config).unwrap());
+                }
+            }
+        }
+    }
+
+    /// A failed route, or a `clear`, empties the swap buffer, and the
+    /// next route is unaffected.
+    #[test]
+    fn a_failed_route_leaves_no_stale_levels() {
+        let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]).unwrap();
+        let config = RouterConfig::default();
+        let good = full_targets(&[2, 1, 0, 5, 4, 3]);
+        let mut cross = vec![None; 6];
+        cross[0] = Some(3);
+        let bad = [
+            vec![Some(0); 6], // repeated destination
+            vec![None; 5],    // wrong length
+            cross,            // destination in another component
+        ];
+        let mut router = Router::new(&g, config);
+        for t in &bad {
+            router.route_in_place(&good).unwrap();
+            assert!(router.levels().count() > 0);
+            assert!(router.route_in_place(t).is_err());
+            assert_eq!(router.levels().count(), 0, "stale levels after {t:?}");
+            assert!(router.schedule().is_empty());
+            assert!(router.route(t).is_err());
+            assert_eq!(
+                router.route(&good).unwrap(),
+                route_permutation(&g, &good, &config).unwrap()
+            );
+        }
+        router.clear();
+        assert_eq!(router.levels().count(), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use qcp_graph::vf2::Budget;
 use qcp_graph::{generate, NodeId};
 use qcp_place::baselines::{exhaustive_placement, random_placement};
 use qcp_place::batch::BatchPlacer;
-use qcp_place::cost::{placed_runtime, CostModel};
+use qcp_place::cost::{placed_runtime, CostEngine, CostModel, ExecutionModel, PlacedGate};
 use qcp_place::embed::{candidate_placements_searched, SearchOptions};
 use qcp_place::router::{route_permutation, route_sequential, verify_schedule, RouterConfig};
 use qcp_place::workspace::{extract_workspaces_budgeted, ExtractionOptions};
@@ -539,5 +539,193 @@ proptest! {
         prop_assert_eq!(warm.outcome.runtime, cold.outcome.runtime);
         prop_assert_eq!(warm.outcome.stages.len(), cold.outcome.stages.len());
         prop_assert_eq!(warm.outcome.swap_count(), cold.outcome.swap_count());
+    }
+}
+
+/// A reference cost engine that keeps the §6 reuse cap's state keyed by
+/// nucleus *pair*: each nucleus's last coupling pair, and the accumulated
+/// `T` of the live run on each pair in a `HashMap`. [`CostEngine`] keeps
+/// the same rule in per-nucleus slots; this oracle states it the direct
+/// way, so a divergence between the two shows up bit for bit.
+#[derive(Clone)]
+struct PairKeyedEngine<'a> {
+    env: &'a Environment,
+    model: CostModel,
+    times: Vec<f64>,
+    last_pair: Vec<Option<(usize, usize)>>,
+    runs: std::collections::HashMap<(usize, usize), f64>,
+}
+
+impl<'a> PairKeyedEngine<'a> {
+    fn new(env: &'a Environment, model: CostModel) -> Self {
+        PairKeyedEngine {
+            env,
+            model,
+            times: vec![0.0; env.qubit_count()],
+            last_pair: vec![None; env.qubit_count()],
+            runs: std::collections::HashMap::new(),
+        }
+    }
+
+    fn apply_gate(&mut self, gate: &PlacedGate) -> (f64, f64) {
+        let i = gate.a.index();
+        let Some(b) = gate.b else {
+            let start = self.times[i];
+            self.times[i] = start + self.env.weight_units(gate.a, gate.a) * gate.weight;
+            if gate.weight > 0.0 {
+                self.last_pair[i] = None;
+            }
+            return (start, self.times[i]);
+        };
+        let j = b.index();
+        let key = (i.min(j), i.max(j));
+        let effective = match self.model.reuse_cap {
+            None => gate.weight,
+            Some(cap) => {
+                let continuing = self.last_pair[i] == Some(key) && self.last_pair[j] == Some(key);
+                let prev = if continuing { self.runs[&key] } else { 0.0 };
+                let total = prev + gate.weight;
+                self.runs.insert(key, total);
+                total.min(cap) - prev.min(cap)
+            }
+        };
+        let start = self.times[i].max(self.times[j]);
+        let delay = self.env.weight_units(gate.a, b);
+        let finish = if delay.is_finite() {
+            start + delay * effective
+        } else {
+            f64::INFINITY
+        };
+        self.times[i] = finish;
+        self.times[j] = finish;
+        self.last_pair[i] = Some(key);
+        self.last_pair[j] = Some(key);
+        (start, finish)
+    }
+
+    fn level_barrier(&mut self) {
+        if self.model.execution == ExecutionModel::Leveled {
+            let barrier = self.times.iter().copied().fold(0.0, f64::max);
+            self.times.fill(barrier);
+        }
+    }
+
+    fn makespan(&self) -> f64 {
+        self.times.iter().copied().fold(0.0, f64::max)
+    }
+}
+
+/// Five nuclei with distinct delays; (0, 3), (0, 4), (1, 4) and (2, 4)
+/// are uncoupled.
+fn oracle_env() -> Environment {
+    let mut b = Environment::builder("oracle-5");
+    let v: Vec<PhysicalQubit> = [1.0, 2.0, 0.5, 1.5, 3.0]
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| b.nucleus(format!("n{i}"), d))
+        .collect();
+    for (x, y, w) in [
+        (0, 1, 10.0),
+        (1, 2, 7.5),
+        (2, 3, 33.0),
+        (3, 4, 12.0),
+        (0, 2, 50.0),
+        (1, 3, 4.25),
+    ] {
+        b.bond(v[x], v[y], w).unwrap();
+    }
+    b.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `CostEngine` against the pair-keyed oracle on random gate streams
+    /// over two engines: runs on repeated and recently used pairs,
+    /// zero-weight couplings, couplings on uncoupled pairs, free and
+    /// costed single-qubit pulses, SWAP levels, level barriers, and
+    /// `copy_from` forks of one engine into the other (dirty) one taken
+    /// mid-stream. Every `apply_gate` instant, every nucleus time and
+    /// every makespan must match bit for bit, with and without the reuse
+    /// cap, under both execution models.
+    #[test]
+    fn cost_engine_matches_the_pair_keyed_reuse_rule(
+        seed in any::<u64>(),
+        capped in any::<bool>(),
+        leveled in any::<bool>(),
+    ) {
+        let env = oracle_env();
+        let m = env.qubit_count();
+        let model = CostModel {
+            execution: if leveled { ExecutionModel::Leveled } else { ExecutionModel::Overlapped },
+            reuse_cap: capped.then_some(3.0),
+        };
+        let p = PhysicalQubit::new;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut engines = [CostEngine::new(&env, model), CostEngine::new(&env, model)];
+        let mut oracles = [PairKeyedEngine::new(&env, model), PairKeyedEngine::new(&env, model)];
+        let mut recent: Vec<(usize, usize)> = vec![(0, 1)];
+        for step in 0..240 {
+            let k = rng.gen_range(0..2);
+            match rng.gen_range(0..12) {
+                0 => {
+                    let [e0, e1] = &mut engines;
+                    if k == 0 { e1.copy_from(e0) } else { e0.copy_from(e1) }
+                    oracles[1 - k] = oracles[k].clone();
+                }
+                1 => {
+                    let (a, b) = recent[recent.len() - 1];
+                    engines[k].apply_swap_levels([&[(p(a), p(b))][..]]);
+                    oracles[k].level_barrier();
+                    oracles[k].apply_gate(&PlacedGate::swap(p(a), p(b)));
+                }
+                2 => {
+                    engines[k].apply_level(&[]);
+                    oracles[k].level_barrier();
+                }
+                3 | 4 => {
+                    let weight = [0.0, 0.0, 1.0, 2.0][rng.gen_range(0..4)];
+                    let gate = PlacedGate::one(p(rng.gen_range(0..m)), weight);
+                    let got = engines[k].apply_gate(&gate);
+                    let want = oracles[k].apply_gate(&gate);
+                    prop_assert_eq!(
+                        (got.0.to_bits(), got.1.to_bits()),
+                        (want.0.to_bits(), want.1.to_bits()),
+                        "step {} {:?}", step, gate
+                    );
+                }
+                _ => {
+                    // Most couplings reuse one of the last three pairs, so
+                    // runs continue, interleave and break.
+                    let (a, b) = if rng.gen_bool(0.7) {
+                        recent[recent.len().saturating_sub(3) + rng.gen_range(0..recent.len().min(3))]
+                    } else {
+                        let a = rng.gen_range(0..m);
+                        (a, (a + rng.gen_range(1..m)) % m)
+                    };
+                    let (a, b) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
+                    recent.push((a, b));
+                    let weight = [0.0, 0.5, 1.0, 1.0, 2.0, 3.0][rng.gen_range(0..6)];
+                    let gate = PlacedGate::two(p(a), p(b), weight);
+                    let got = engines[k].apply_gate(&gate);
+                    let want = oracles[k].apply_gate(&gate);
+                    prop_assert_eq!(
+                        (got.0.to_bits(), got.1.to_bits()),
+                        (want.0.to_bits(), want.1.to_bits()),
+                        "step {} {:?}", step, gate
+                    );
+                }
+            }
+            for (engine, oracle) in engines.iter().zip(&oracles) {
+                let times: Vec<u64> = engine.times().iter().map(|t| t.to_bits()).collect();
+                let want: Vec<u64> = oracle.times.iter().map(|t| t.to_bits()).collect();
+                prop_assert_eq!(times, want, "step {}", step);
+                prop_assert_eq!(
+                    engine.makespan().units().to_bits(),
+                    oracle.makespan().to_bits(),
+                    "step {}", step
+                );
+            }
+        }
     }
 }
