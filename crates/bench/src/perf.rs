@@ -31,8 +31,8 @@ use qcp_place::baselines::exhaustive_placement;
 use qcp_place::cost::CostModel;
 use qcp_place::router::{route_permutation, Router, RouterConfig};
 use qcp_place::{
-    execute, execute_with, BatchPlacer, CanonicalCircuit, PlaceRequest, PlacementCache, Placer,
-    PlacerConfig, Resolution, SearchBudget, Strategy,
+    execute, execute_with, BatchPlacer, CanonicalCircuit, PlaceError, PlaceRequest, PlacementCache,
+    Placer, PlacerConfig, Resolution, SearchBudget, Strategy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -354,7 +354,8 @@ pub fn run_suites(quick: bool) -> Vec<PerfCase> {
         assert_eq!(
             outcome.resolution,
             Resolution::BudgetExhausted,
-            "hybrid case must fall back, or it times the exact path twice"
+            "hybrid case must fall back: it times the plan that skips the \
+             exact attempt, then the unpolished greedy seed"
         );
     }
     struct StrategyCase {
@@ -381,9 +382,17 @@ pub fn run_suites(quick: bool) -> Vec<PerfCase> {
         },
         StrategyCase {
             name: "strategy/hybrid2k-qft6-heavyhex3",
-            env: hh3,
+            env: hh3.clone(),
             circuit: qft6.clone(),
             strategy: Strategy::Hybrid,
+            budget: hybrid_budget,
+        },
+        // The exact attempt that hybrid2k skips, run to its trip.
+        StrategyCase {
+            name: "strategy/exact2k-qft6-heavyhex3",
+            env: hh3,
+            circuit: qft6.clone(),
+            strategy: Strategy::Exact,
             budget: hybrid_budget,
         },
         StrategyCase {
@@ -412,8 +421,20 @@ pub fn run_suites(quick: bool) -> Vec<PerfCase> {
     ];
     for sc in &strategy_cases {
         let placer = Placer::new(&sc.env, strat_config(&sc.env, sc.strategy, sc.budget));
+        // Every case places, except a node-capped exact attempt, which
+        // must trip.
+        let capped_exact = sc.strategy == Strategy::Exact && sc.budget.max_nodes.is_some();
+        assert_eq!(
+            matches!(
+                placer.place(&sc.circuit),
+                Err(PlaceError::BudgetExhausted { .. })
+            ),
+            capped_exact,
+            "{}",
+            sc.name
+        );
         case("strategy", sc.name, &mut || {
-            black_box(placer.place(&sc.circuit).expect("strategy workloads place"));
+            let _ = black_box(placer.place(&sc.circuit));
         });
     }
 

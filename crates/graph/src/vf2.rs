@@ -142,6 +142,42 @@ impl Budget {
         true
     }
 
+    /// Charges a search that visits `nodes` search nodes when nothing
+    /// stops it, leaving the meter exactly as running that search under
+    /// it would: the entry poll every search makes, then the nodes up to
+    /// the cap, with the deadline polled at the first
+    /// [`DEADLINE_STRIDE`] multiple they pass. A search that does not
+    /// fit trips where the kernel does: at the cap, or at that poll
+    /// when the clock is past the deadline. Returns `false` once
+    /// exhausted, like the kernel's [`Outcome::BudgetExhausted`].
+    ///
+    /// A caller that enumerated a search once (on a clone of its meter,
+    /// say) charges the recorded count here instead of searching again.
+    /// `u64::MAX` stands for a search the caller could not finish: it
+    /// never fits.
+    pub fn charge_search(&mut self, nodes: u64) -> bool {
+        if !self.consume(0) {
+            return false;
+        }
+        let room = self.remaining_nodes();
+        let end = self.nodes + nodes.min(room);
+        let first_poll = (self.nodes / DEADLINE_STRIDE)
+            .saturating_add(1)
+            .saturating_mul(DEADLINE_STRIDE);
+        // The charge takes no time, so every poll the kernel would make
+        // reads the same clock: the first one decides.
+        if first_poll <= end && !self.poll_deadline() {
+            self.nodes = first_poll;
+            return false;
+        }
+        self.nodes = end;
+        if nodes > room {
+            self.exhausted = true;
+            return false;
+        }
+        true
+    }
+
     /// The kernel-side charge: one search node, with the deadline polled
     /// every [`DEADLINE_STRIDE`] nodes. The kernel calls it only at a
     /// [checkpoint](Budget::checkpoint) and counts the nodes in between
@@ -1041,6 +1077,74 @@ mod tests {
             assert_eq!(sols.len(), k.min(total));
             assert_eq!(outcome, Outcome::Complete);
         }
+    }
+
+    /// Asserts that charging `count` (the search's node count on an
+    /// unlimited meter) leaves a clone of `meter` exactly as running the
+    /// search on another clone does.
+    fn assert_charge_matches_search(finder: &MonomorphismFinder<'_>, meter: &Budget, count: u64) {
+        let mut searched = meter.clone();
+        let (_, run) = finder.collect_budgeted(&mut searched, None);
+        let mut charged = meter.clone();
+        let live = charged.charge_search(count);
+        let case = format!("count {count} on {meter:?}");
+        assert_eq!(live, run.outcome == Outcome::Complete, "{case}");
+        assert_eq!(charged.nodes_visited(), searched.nodes_visited(), "{case}");
+        assert_eq!(charged.is_exhausted(), searched.is_exhausted(), "{case}");
+    }
+
+    #[test]
+    fn charge_search_leaves_the_meter_as_the_search_does() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x00c0_ffee);
+        // One target per kernel: single-word (≤ 64 nodes) and general.
+        let targets = [generate::grid(4, 4), generate::grid(9, 8)];
+        for case in 0..48 {
+            let target = &targets[case % 2];
+            let size = rng.gen_range(2..7);
+            let pattern = generate::random_connected(size, rng.gen_range(0..3), &mut rng);
+            let finder = MonomorphismFinder::new(&pattern, target).limit(rng.gen_range(1..60));
+            let (_, full) = finder.collect_budgeted(&mut Budget::unlimited(), None);
+            let count = full.nodes;
+            // Prior charges, sometimes just short of a deadline poll.
+            let spent = if case % 3 == 0 {
+                DEADLINE_STRIDE - rng.gen_range(1..4)
+            } else {
+                rng.gen_range(0..200)
+            };
+            let below = spent + rng.gen_range(0..count);
+            for cap in [
+                None,
+                Some(spent + count),     // an exact fit
+                Some(spent + count - 1), // one node short
+                Some(spent + count + 1),
+                Some(below),
+                Some(spent),
+                Some(spent / 2), // tripped by the prior charges
+            ] {
+                let far = Instant::now() + std::time::Duration::from_secs(3600);
+                for deadline in [None, Some(far)] {
+                    let mut meter = Budget::new(cap, deadline);
+                    let _ = meter.consume(spent);
+                    assert_charge_matches_search(&finder, &meter, count);
+                }
+            }
+        }
+        // Already exhausted meters: by a call, and by a passed deadline.
+        let (p, t) = (generate::chain(3), generate::grid(3, 3));
+        let finder = MonomorphismFinder::new(&p, &t);
+        let count = finder
+            .collect_budgeted(&mut Budget::unlimited(), None)
+            .1
+            .nodes;
+        let mut tripped = Budget::max_nodes(1_000);
+        tripped.exhaust();
+        assert_charge_matches_search(&finder, &tripped, count);
+        assert_charge_matches_search(&finder, &Budget::deadline(Instant::now()), count);
+        // A search that could not finish never fits.
+        let mut meter = Budget::max_nodes(500);
+        assert!(!meter.charge_search(u64::MAX));
+        assert_eq!((meter.nodes_visited(), meter.is_exhausted()), (500, true));
     }
 
     #[test]

@@ -57,53 +57,132 @@ pub fn candidate_placements_searched(
     meter: &mut vf2::Budget,
     options: &SearchOptions<'_>,
 ) -> Result<Vec<Placement>> {
-    let n = interaction.node_count();
-    let m = fast.node_count();
-
-    let constrained: Vec<usize> = (0..n)
-        .filter(|&i| interaction.degree(NodeId::new(i)) > 0)
-        .collect();
-
-    if constrained.is_empty() {
-        let placement = match previous {
-            Some(p) => p.clone(),
-            None => Placement::identity(n, m)?,
-        };
-        return Ok(vec![placement]);
-    }
-
-    // Pattern graph over the constrained qubits only.
-    let mut index = vec![usize::MAX; n];
-    for (i, &q) in constrained.iter().enumerate() {
-        index[q] = i;
-    }
-    let mut pattern = Graph::new(constrained.len());
-    for (a, b, _) in interaction.edges() {
-        // `Graph` stores simple edges, so each pair arrives exactly once.
-        let _ = pattern.add_edge(
-            NodeId::new(index[a.index()]),
-            NodeId::new(index[b.index()]),
-            1.0,
-        );
-    }
-
-    // Enumerate monomorphisms (one root per orbit when orbits are
-    // supplied), then complete each into a total placement through
-    // reusable scratch buffers.
-    let (maps, run) = MonomorphismFinder::new(&pattern, fast)
-        .limit(k)
-        .collect_budgeted(meter, options.root_orbits);
-    if run.outcome == vf2::Outcome::BudgetExhausted {
+    let Some(embeddings) = Embeddings::enumerate(interaction, fast, k, meter, options.root_orbits)
+    else {
         return Err(PlaceError::BudgetExhausted {
             nodes: meter.nodes_visited(),
         });
+    };
+    embeddings.complete(fast, previous)
+}
+
+/// A workspace's monomorphisms into the fast graph, enumerated once:
+/// [`complete`](Embeddings::complete) turns them into candidate
+/// placements against any previous placement, and
+/// [`charge`](Embeddings::charge) charges a meter what enumerating them
+/// again would, without searching.
+#[derive(Debug)]
+pub(crate) struct Embeddings {
+    /// Width of the workspace (its circuit's qubit count).
+    qubits: usize,
+    /// The qubits with two-qubit gates in the workspace, ascending: the
+    /// pattern's nodes.
+    interacting: Vec<usize>,
+    /// The maps, `interacting.len()` fast-graph nodes each, back to back.
+    maps: Vec<NodeId>,
+    /// VF2 nodes the enumeration visited; `None` when the workspace has
+    /// no interactions and nothing was searched.
+    nodes: Option<u64>,
+}
+
+impl Embeddings {
+    /// Enumerates up to `k` monomorphisms of `interaction`'s interacting
+    /// qubits into `fast` (one VF2 root per orbit when `root_orbits` is
+    /// given), charging `meter` per visited search node. `None` when the
+    /// meter trips before the enumeration finishes.
+    pub(crate) fn enumerate(
+        interaction: &Graph,
+        fast: &Graph,
+        k: usize,
+        meter: &mut vf2::Budget,
+        root_orbits: Option<&[usize]>,
+    ) -> Option<Self> {
+        let qubits = interaction.node_count();
+        let interacting: Vec<usize> = (0..qubits)
+            .filter(|&i| interaction.degree(NodeId::new(i)) > 0)
+            .collect();
+        if interacting.is_empty() {
+            return Some(Embeddings {
+                qubits,
+                interacting,
+                maps: Vec::new(),
+                nodes: None,
+            });
+        }
+
+        // Pattern graph over the interacting qubits only.
+        let mut index = vec![usize::MAX; qubits];
+        for (i, &q) in interacting.iter().enumerate() {
+            index[q] = i;
+        }
+        let mut pattern = Graph::new(interacting.len());
+        for (a, b, _) in interaction.edges() {
+            // `Graph` stores simple edges, so each pair arrives exactly once.
+            let _ = pattern.add_edge(
+                NodeId::new(index[a.index()]),
+                NodeId::new(index[b.index()]),
+                1.0,
+            );
+        }
+        let (maps, run) = MonomorphismFinder::new(&pattern, fast)
+            .limit(k)
+            .collect_budgeted(meter, root_orbits);
+        (run.outcome == vf2::Outcome::Complete).then(|| Embeddings {
+            qubits,
+            interacting,
+            maps: maps.concat(),
+            nodes: Some(run.nodes),
+        })
     }
-    let mut scratch = CompletionScratch::new(n, m);
-    let mut out = Vec::with_capacity(maps.len());
-    for map in &maps {
-        out.push(scratch.complete(&constrained, map, fast, previous)?);
+
+    /// The number of candidate placements: one per map, or the single
+    /// placement of a workspace without interactions.
+    pub(crate) fn len(&self) -> usize {
+        match self.interacting.len() {
+            0 => 1,
+            width => self.maps.len() / width,
+        }
     }
-    Ok(out)
+
+    /// The qubits with two-qubit gates in the workspace, ascending.
+    pub(crate) fn interacting(&self) -> &[usize] {
+        &self.interacting
+    }
+
+    /// Charges `meter` exactly what enumerating again would
+    /// ([`vf2::Budget::charge_search`]); a workspace without interactions
+    /// charges nothing. Returns `false` once the meter is exhausted.
+    pub(crate) fn charge(&self, meter: &mut vf2::Budget) -> bool {
+        self.nodes.is_none_or(|nodes| meter.charge_search(nodes))
+    }
+
+    /// Completes every map into a total placement, in enumeration order
+    /// (see [`candidate_placements_searched`]).
+    ///
+    /// # Errors
+    ///
+    /// Placement-construction failures, which indicate an internal
+    /// inconsistency.
+    pub(crate) fn complete(
+        &self,
+        fast: &Graph,
+        previous: Option<&Placement>,
+    ) -> Result<Vec<Placement>> {
+        let m = fast.node_count();
+        if self.interacting.is_empty() {
+            let placement = match previous {
+                Some(p) => p.clone(),
+                None => Placement::identity(self.qubits, m)?,
+            };
+            return Ok(vec![placement]);
+        }
+        let mut scratch = CompletionScratch::new(self.qubits, m);
+        let mut out = Vec::with_capacity(self.len());
+        for map in self.maps.chunks_exact(self.interacting.len()) {
+            out.push(scratch.complete(&self.interacting, map, fast, previous)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Reusable buffers for completing partial assignments into placements.

@@ -8,7 +8,7 @@ use qcp_graph::traversal::connected_components;
 use qcp_graph::{vf2, Graph};
 
 use crate::cost::{CostEngine, CostModel, Schedule};
-use crate::embed::{candidate_placements_searched, SearchOptions};
+use crate::embed::Embeddings;
 use crate::finetune::fine_tune;
 use crate::router::{Router, RouterConfig, SwapSchedule};
 use crate::strategy::{strategy_for, AnnealConfig, Resolution, SearchBudget, Strategy};
@@ -136,6 +136,51 @@ pub struct Stage {
     pub swaps: SwapSchedule,
     /// The subcircuit (same width as the full circuit).
     pub subcircuit: Circuit,
+}
+
+/// What the exact pipeline will search, worked out before any scoring:
+/// the request's workspaces and their monomorphisms, each enumerated
+/// once ([`Placer::plan_exact`]).
+#[derive(Debug)]
+pub(crate) struct ExactPlan {
+    workspaces: Vec<Workspace>,
+    /// `embeddings[i]` belongs to `workspaces[i]`. The list ends early
+    /// when the walk stopped: at the workspace whose enumeration tripped
+    /// the clone, or after the first workspace without embeddings.
+    embeddings: Vec<Embeddings>,
+    /// Whether the clone tripped before any structural error.
+    trips: bool,
+}
+
+impl ExactPlan {
+    /// Whether the run is bound to exhaust the budget: the clone tripped,
+    /// and no workspace without embeddings stopped the walk before that.
+    /// The run can still stop earlier on a routing failure.
+    pub(crate) fn trips(&self) -> bool {
+        self.trips
+    }
+
+    /// Workspace `i`'s candidate placements: its enumeration's recorded
+    /// node count charged to `meter`, its maps completed against
+    /// `previous`. A workspace the plan could not finish enumerating
+    /// charges more than any budget left.
+    fn candidates(
+        &self,
+        i: usize,
+        fast: &Graph,
+        previous: Option<&Placement>,
+        meter: &mut vf2::Budget,
+    ) -> Result<Vec<Placement>> {
+        let Some(embeddings) = self.embeddings.get(i) else {
+            debug_assert!(self.trips, "only a tripped walk ends before the run does");
+            let _ = meter.charge_search(u64::MAX);
+            return Err(budget_error(meter));
+        };
+        if !embeddings.charge(meter) {
+            return Err(budget_error(meter));
+        }
+        embeddings.complete(fast, previous)
+    }
 }
 
 /// The result of placing a circuit: `C1 E12 C2 E23 … Ct` with its overall
@@ -294,6 +339,13 @@ impl<'e> Placer<'e> {
         &self.config
     }
 
+    /// Whether the routing graph is connected: every hop distance from
+    /// nucleus 0 is finite.
+    pub(crate) fn routing_connected(&self) -> bool {
+        let m = self.env.qubit_count();
+        self.dist[..m].iter().all(|&d| d != u32::MAX)
+    }
+
     /// The routing graph's all-pairs hop distances and BFS parents, both
     /// row-major `m × m` (see the fields of the same names).
     pub(crate) fn hop_tables(&self) -> (&[u32], &[u32]) {
@@ -317,14 +369,20 @@ impl<'e> Placer<'e> {
         strategy_for(self.config.strategy).place(self, circuit)
     }
 
-    /// The exact pipeline, regardless of the configured strategy, charging
-    /// an externally owned budget meter (the hybrid strategy shares one
-    /// meter between the exact attempt and the heuristic fallback).
-    pub(crate) fn place_exact_with(
+    /// The plan half of the exact pipeline, regardless of the configured
+    /// strategy, charging an externally owned budget meter (the hybrid
+    /// strategy shares one meter between the exact attempt and the
+    /// heuristic fallback). The request's first unit, the width check and
+    /// workspace extraction charge `meter`. Then a clone of `meter` walks
+    /// the stage loop's charges in order (see [`Placer::walk_charges`]),
+    /// enumerating each workspace's monomorphisms once, and the plan keeps
+    /// them with their node counts. [`Placer::run_exact`] is the other
+    /// half.
+    pub(crate) fn plan_exact(
         &self,
         circuit: &Circuit,
         meter: &mut vf2::Budget,
-    ) -> Result<PlacementOutcome> {
+    ) -> Result<ExactPlan> {
         if !meter.consume(1) {
             return Err(budget_error(meter));
         }
@@ -338,7 +396,116 @@ impl<'e> Placer<'e> {
         }
         let workspaces =
             extract_workspaces_budgeted(circuit, &self.fast, self.config.extraction, meter)?;
+        let mut shadow = meter.clone();
+        let mut embeddings = Vec::with_capacity(workspaces.len());
+        let trips = self.walk_charges(&workspaces, &mut embeddings, &mut shadow);
+        Ok(ExactPlan {
+            workspaces,
+            embeddings,
+            trips,
+        })
+    }
 
+    /// Makes the stage loop's charges on `shadow`, in
+    /// [`Placer::run_exact`]'s order, and returns whether `shadow` tripped.
+    /// Stage `i` charges workspace `i`'s enumeration, then workspace
+    /// `i + 1`'s when lookahead is on, then the up-front scoring charge
+    /// `c_i · (1 + c_{i+1})`, then — with fine tuning on and qubits to
+    /// move — `1 + |movable| · (m − 1)`: the initial score and the first
+    /// sweep, which probes every other nucleus for every movable qubit.
+    /// The first charge of a workspace runs VF2 and records its maps in
+    /// `embeddings`; the second replays the count.
+    ///
+    /// The run makes every one of these charges at the same point and
+    /// adds only later sweeps, so when `shadow` trips the run trips at or
+    /// before the same point, unless it stops earlier on a structural
+    /// error. The walk stops at the first trip, or at a workspace without
+    /// embeddings, where the run fails with
+    /// [`PlaceError::InvalidPlacement`].
+    fn walk_charges(
+        &self,
+        workspaces: &[Workspace],
+        embeddings: &mut Vec<Embeddings>,
+        shadow: &mut vf2::Budget,
+    ) -> bool {
+        let m = self.env.qubit_count() as u64;
+        for (i, ws) in workspaces.iter().enumerate() {
+            let Some(count) = self.charge_enumeration(ws, i, embeddings, shadow) else {
+                return true;
+            };
+            if count == 0 {
+                return false;
+            }
+            let next = match workspaces.get(i + 1) {
+                Some(next) if self.config.lookahead => {
+                    match self.charge_enumeration(next, i + 1, embeddings, shadow) {
+                        Some(c) => c,
+                        None => return true,
+                    }
+                }
+                _ => 0,
+            };
+            if !shadow.consume((count as u64).saturating_mul(1 + next as u64)) {
+                return true;
+            }
+            let movable = embeddings[i].interacting().len() as u64;
+            if self.config.fine_tune_rounds > 0
+                && movable > 0
+                && !shadow.consume(1 + movable * (m - 1))
+            {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Charges workspace `i`'s enumeration to `shadow` and returns its
+    /// candidate count, or `None` once `shadow` trips. The first charge
+    /// enumerates and appends to `embeddings`; later ones replay.
+    fn charge_enumeration(
+        &self,
+        ws: &Workspace,
+        i: usize,
+        embeddings: &mut Vec<Embeddings>,
+        shadow: &mut vf2::Budget,
+    ) -> Option<usize> {
+        if let Some(known) = embeddings.get(i) {
+            return known.charge(shadow).then(|| known.len());
+        }
+        debug_assert_eq!(embeddings.len(), i, "workspaces are charged in order");
+        // Orbit pruning applies to the first stage only: with no previous
+        // placement, candidates related by a device automorphism are
+        // cost-equivalent, so one VF2 root per orbit suffices. Later
+        // stages (and the lookahead set, whose members are scored
+        // relative to a *fixed* current candidate) have the symmetry
+        // broken by the incumbent placement.
+        let orbits = if i == 0 {
+            self.symmetry.as_deref()
+        } else {
+            None
+        };
+        let found = Embeddings::enumerate(
+            &ws.interaction,
+            &self.fast,
+            self.config.max_candidates,
+            shadow,
+            orbits,
+        )?;
+        let count = found.len();
+        embeddings.push(found);
+        Some(count)
+    }
+
+    /// The run half of the exact pipeline: the stage loop over the plan's
+    /// workspaces. Each stage charges its enumerations' recorded counts
+    /// to `meter` and completes the recorded maps against the previous
+    /// placement; scoring, fine tuning and the commit follow.
+    pub(crate) fn run_exact(
+        &self,
+        plan: &ExactPlan,
+        meter: &mut vf2::Budget,
+    ) -> Result<PlacementOutcome> {
+        let workspaces = &plan.workspaces;
         let mut engine = CostEngine::new(self.env, self.config.cost_model);
         // Fork arena: a scratch engine reset per scoring call instead of
         // cloning a fresh CostEngine (times/partner/run buffers) for every
@@ -352,36 +519,8 @@ impl<'e> Placer<'e> {
         let mut stages: Vec<Stage> = Vec::new();
         let mut previous: Option<Placement> = None;
 
-        // The lookahead below enumerates workspace i+1's candidates at
-        // iteration i and again at iteration i+1: the *monomorphisms* are
-        // placement-independent (§5.3: "the sets of monomorphisms … are
-        // equal"), but their completions to total placements park idle
-        // qubits relative to the previous placement, which changes when
-        // workspace i commits — so the sets cannot be reused verbatim.
-        // Each enumeration charges the budget meter for the work it does.
         for (wi, ws) in workspaces.iter().enumerate() {
-            // Orbit pruning applies to the first stage only: with no
-            // previous placement, candidates related by a device
-            // automorphism are cost-equivalent, so one VF2 root per orbit
-            // suffices. Later stages (and the lookahead set, whose members
-            // are scored relative to a *fixed* current candidate) have the
-            // symmetry broken by the incumbent placement.
-            let search = SearchOptions {
-                root_orbits: if previous.is_none() {
-                    self.symmetry.as_deref()
-                } else {
-                    None
-                },
-                ..SearchOptions::default()
-            };
-            let candidates = candidate_placements_searched(
-                &ws.interaction,
-                &self.fast,
-                previous.as_ref(),
-                self.config.max_candidates,
-                meter,
-                &search,
-            )?;
+            let candidates = plan.candidates(wi, &self.fast, previous.as_ref(), meter)?;
             if candidates.is_empty() {
                 // Workspace extraction guarantees embeddability.
                 return Err(PlaceError::InvalidPlacement {
@@ -390,24 +529,10 @@ impl<'e> Placer<'e> {
             }
 
             // Lookahead: raw candidates for the next workspace.
-            let lookahead_set = if self.config.lookahead {
-                workspaces.get(wi + 1).map(|next| {
-                    candidate_placements_searched(
-                        &next.interaction,
-                        &self.fast,
-                        previous.as_ref(),
-                        self.config.max_candidates,
-                        meter,
-                        &SearchOptions::default(),
-                    )
-                })
+            let lookahead_set = if self.config.lookahead && wi + 1 < workspaces.len() {
+                Some(plan.candidates(wi + 1, &self.fast, previous.as_ref(), meter)?)
             } else {
                 None
-            };
-            let lookahead_set = match lookahead_set {
-                Some(Ok(c)) => Some(c),
-                Some(Err(e)) => return Err(e),
-                None => None,
             };
 
             // Charge the scoring phase up front — one unit per candidate
@@ -1183,6 +1308,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_tripping_plan_means_the_exact_run_trips() {
+        // `Hybrid` skips the exact run when its plan trips and the routing
+        // graph is connected; this is the soundness half of that rule.
+        // Crotonic acid at threshold 50 routes over slow bridges.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/qasm");
+        let mut circuits: Vec<(String, Circuit)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "qasm"))
+            .map(|p| {
+                let text = std::fs::read_to_string(&p).unwrap();
+                let name = p.file_stem().unwrap().to_string_lossy().into_owned();
+                (name, qcp_circuit::qasm::parse(&text).unwrap().circuit)
+            })
+            .collect();
+        circuits.push(("qft6".into(), library::qft(6)));
+        circuits.push(("phaseest".into(), library::phase_estimation()));
+        let delays = qcp_env::topologies::Delays::default();
+        let crotonic = molecules::trans_crotonic_acid();
+        let grid = qcp_env::topologies::grid(4, 4, delays);
+        let ring = qcp_env::topologies::ring(16, delays);
+        let heavy_hex = qcp_env::topologies::heavy_hex(3, delays);
+        let envs = [
+            (&grid, grid.connectivity_threshold().unwrap()),
+            (&ring, ring.connectivity_threshold().unwrap()),
+            (&heavy_hex, heavy_hex.connectivity_threshold().unwrap()),
+            (&crotonic, Threshold::new(50.0)),
+        ];
+        let (mut planned, mut tripped) = (0, 0);
+        for (name, circuit) in &circuits {
+            for &(env, threshold) in &envs {
+                assert!(
+                    Placer::new(env, PlacerConfig::with_threshold(threshold)).routing_connected()
+                );
+                for nodes in [64, 300, 2_000, 20_000] {
+                    for (lookahead, rounds) in [(true, 2), (true, 0), (false, 2), (false, 0)] {
+                        let config = PlacerConfig::with_threshold(threshold)
+                            .lookahead(lookahead)
+                            .fine_tuning(rounds)
+                            .budget(SearchBudget::nodes(nodes));
+                        let placer = Placer::new(env, config);
+                        let mut meter = placer.config().budget.start();
+                        let Ok(plan) = placer.plan_exact(circuit, &mut meter) else {
+                            continue;
+                        };
+                        planned += 1;
+                        if !plan.trips() {
+                            continue;
+                        }
+                        tripped += 1;
+                        match placer.place(circuit) {
+                            Err(PlaceError::BudgetExhausted { .. }) => {}
+                            other => panic!(
+                                "{name}@{} nodes({nodes}) lookahead={lookahead} \
+                                 rounds={rounds}: the plan trips but exact gave {other:?}",
+                                env.name(),
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            tripped > 0 && tripped < planned,
+            "{tripped} of {planned} plans trip"
+        );
     }
 
     #[test]

@@ -236,7 +236,8 @@ impl PlacementStrategy for ExactVf2 {
 
     fn place(&self, placer: &Placer<'_>, circuit: &Circuit) -> Result<PlacementOutcome> {
         let mut meter = placer.config().budget.start();
-        let outcome = placer.place_exact_with(circuit, &mut meter)?;
+        let plan = placer.plan_exact(circuit, &mut meter)?;
+        let outcome = placer.run_exact(&plan, &mut meter)?;
         #[cfg(debug_assertions)]
         debug_check_outcome(placer.environment(), circuit, &outcome);
         Ok(outcome)
@@ -268,6 +269,15 @@ impl PlacementStrategy for GreedyAnneal {
 /// The anytime chain: budgeted exact first, greedy+anneal when the exact
 /// search exhausts its budget or fails structurally. Fundamental errors
 /// (circuit too large, no fast interactions at all) are not retried.
+///
+/// The exact attempt is planned before it runs: every workspace's
+/// monomorphisms are enumerated first, and a clone of the meter makes
+/// the stage loop's charges up to the first fine-tuning sweep. When the
+/// clone trips, the run would exhaust the budget too. If the routing
+/// graph is connected the run is then skipped: its only possible ends
+/// are a `BudgetExhausted` fallback or, on a router failure before the
+/// trip, a `Fallback` one, and the router has not been seen to fail on a
+/// connected graph.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Hybrid;
 
@@ -278,20 +288,33 @@ impl PlacementStrategy for Hybrid {
 
     fn place(&self, placer: &Placer<'_>, circuit: &Circuit) -> Result<PlacementOutcome> {
         let mut meter = placer.config().budget.start();
-        let outcome = match placer.place_exact_with(circuit, &mut meter) {
+        let exact = match placer.plan_exact(circuit, &mut meter) {
+            Ok(plan) if plan.trips() && placer.routing_connected() => {
+                // The run would trip, and a trip leaves the meter
+                // exhausted: skip to the state it would end in.
+                meter.exhaust();
+                Err(PlaceError::BudgetExhausted {
+                    nodes: meter.nodes_visited(),
+                })
+            }
+            Ok(plan) => placer.run_exact(&plan, &mut meter),
+            Err(e) => Err(e),
+        };
+        let outcome = match exact {
             Ok(outcome) => Ok(outcome),
             Err(PlaceError::BudgetExhausted { .. }) => {
-                // The whole point of the chain: whatever budget remains
-                // (possibly none — then the greedy seed ships unpolished)
-                // buys heuristic refinement instead of a failure.
+                // Every exhaustion leaves the meter exhausted, and
+                // exhaustion is sticky, so the annealer makes no move:
+                // the answer is the greedy seed, unpolished.
                 greedy_anneal(placer, circuit, &mut meter, Resolution::BudgetExhausted)
             }
             Err(PlaceError::RoutingImpossible { .. }) => {
                 // The legitimate structural dead-end: no routable
-                // candidate survived scoring. Everything else — notably
-                // InvalidPlacement, which only arises from internal
-                // invariant breaches — must surface, not be papered over
-                // by the heuristic.
+                // candidate survived scoring. The meter has not tripped,
+                // so the budget left buys annealing. Everything else —
+                // notably InvalidPlacement, which only arises from
+                // internal invariant breaches — must surface, not be
+                // papered over by the heuristic.
                 greedy_anneal(placer, circuit, &mut meter, Resolution::Fallback)
             }
             Err(e) => Err(e),

@@ -93,6 +93,57 @@ impl From<&str> for CliError {
     }
 }
 
+/// The usage text: `qcp --help` prints it to stdout and exits 0; a
+/// missing or unknown subcommand prints it to stderr and exits 2.
+const USAGE: &str = "usage: qcp <molecules|circuits|place|batch|lint|serve> [options]\n\
+     place options:\n\
+     \x20 --circuit <name|file>   circuit (library name, *.qasm, or text file)\n\
+     \x20 --qasm <file>           circuit as an OpenQASM 2.0 file\n\
+     \x20 --env <name|spec|file>  environment (molecule, topology spec, or file)\n\
+     \x20 --topology <spec>       device backend (line:16, ring:12, grid:8x8,\n\
+     \x20                         heavy_hex:3, star:5); alternative to --env\n\
+     \x20 --coupling <units>      coupling delay for --topology (default 10)\n\
+     \x20 --threshold <units>     fast-interaction threshold\n\
+     \x20 --auto                  use the connectivity threshold (default)\n\
+     \x20 --k <n>                 candidate monomorphisms (default 100)\n\
+     \x20 --no-lookahead          greedy stage selection\n\
+     \x20 --fine-tune <rounds>    hill-climbing sweeps (default 2)\n\
+     \x20 --commutation           commutation-aware extraction\n\
+     \x20 --strategy <s>          exact | anneal | hybrid (default exact)\n\
+     \x20 --budget-ms <ms>        wall-clock search budget per request\n\
+     \x20 --budget-nodes <n>      deterministic search-node budget\n\
+     \x20 --gantt                 print the timed pulse chart\n\
+     \x20 --exposure              print idle/coupling exposure\n\
+     \x20 --verify                independently certify the outcome\n\
+     batch options:\n\
+     \x20 --circuits <a,b,...>    comma-separated circuits (names or files)\n\
+     \x20 --qasm-dir <dir>        ingest every *.qasm file in a directory\n\
+     \x20 --envs <a,b,...>        comma-separated environments/topologies\n\
+     \x20 --jobs <k>              worker threads (default: all cores)\n\
+     \x20 --threshold <units>     fixed threshold (default: per-env auto)\n\
+     \x20 --coupling <units>      coupling delay for topology specs\n\
+     \x20 --k/--no-lookahead/--fine-tune/--commutation as for place\n\
+     \x20 --strategy/--budget-ms/--budget-nodes as for place\n\
+     \x20 --verify                certify every successful outcome\n\
+     \x20 --no-dedup              disable cross-batch placement dedup\n\
+     lint options:\n\
+     \x20 qcp lint <input>... [--qasm-dir <dir>] [--deny]\n\
+     \x20 inputs are *.qasm files (span-aware), library names, or\n\
+     \x20 text-format circuit files; --deny fails on any finding (exit 4)\n\
+     serve options:\n\
+     \x20 --addr <host:port>      bind address (default 127.0.0.1:7878)\n\
+     \x20 --workers <n>           worker threads (default: one per core)\n\
+     \x20 --queue-depth <n>       bounded accept queue; overflow gets 429\n\
+     \x20 --budget-ms <ms>        default placement deadline (default 2000)\n\
+     \x20 --max-budget-ms <ms>    ceiling on requested deadlines\n\
+     \x20 --min-budget-ms <ms>    deadline floor; sub-floor budgets get 429\n\
+     \x20 --max-body-kb <kb>      request body cap (413 beyond it)\n\
+     \x20 --cache-entries <n>     result-cache capacity (default 256; 0 disables)\n\
+     \x20 --chaos                 honor x-qcp-chaos fault-injection headers\n\
+     \x20 --no-admin              disable POST /admin/drain\n\
+     exit codes: 0 ok, 2 parse/input, 3 budget exhausted,\n\
+     \x20          4 verify reject, 5 internal";
+
 fn main() -> ExitCode {
     // The same panic containment the daemon gives its workers: a bug
     // anywhere below answers with the documented exit 5 instead of an
@@ -112,6 +163,11 @@ fn run() -> ExitCode {
         panic!("chaos: injected CLI panic");
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "help") || args.iter().any(|a| a == "--help" || a == "-h")
+    {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     match args.first().map(String::as_str) {
         Some("molecules") => {
             for name in molecules::NAMES {
@@ -137,56 +193,7 @@ fn run() -> ExitCode {
         Some("lint") => finish(run_lint(&args[1..])),
         Some("serve") => finish(run_serve(&args[1..])),
         _ => {
-            eprintln!(
-                "usage: qcp <molecules|circuits|place|batch|lint|serve> [options]\n\
-                 place options:\n\
-                 \x20 --circuit <name|file>   circuit (library name, *.qasm, or text file)\n\
-                 \x20 --qasm <file>           circuit as an OpenQASM 2.0 file\n\
-                 \x20 --env <name|spec|file>  environment (molecule, topology spec, or file)\n\
-                 \x20 --topology <spec>       device backend (line:16, ring:12, grid:8x8,\n\
-                 \x20                         heavy_hex:3, star:5); alternative to --env\n\
-                 \x20 --coupling <units>      coupling delay for --topology (default 10)\n\
-                 \x20 --threshold <units>     fast-interaction threshold\n\
-                 \x20 --auto                  use the connectivity threshold (default)\n\
-                 \x20 --k <n>                 candidate monomorphisms (default 100)\n\
-                 \x20 --no-lookahead          greedy stage selection\n\
-                 \x20 --fine-tune <rounds>    hill-climbing sweeps (default 2)\n\
-                 \x20 --commutation           commutation-aware extraction\n\
-                 \x20 --strategy <s>          exact | anneal | hybrid (default exact)\n\
-                 \x20 --budget-ms <ms>        wall-clock search budget per request\n\
-                 \x20 --budget-nodes <n>      deterministic search-node budget\n\
-                 \x20 --gantt                 print the timed pulse chart\n\
-                 \x20 --exposure              print idle/coupling exposure\n\
-                 \x20 --verify                independently certify the outcome\n\
-                 batch options:\n\
-                 \x20 --circuits <a,b,...>    comma-separated circuits (names or files)\n\
-                 \x20 --qasm-dir <dir>        ingest every *.qasm file in a directory\n\
-                 \x20 --envs <a,b,...>        comma-separated environments/topologies\n\
-                 \x20 --jobs <k>              worker threads (default: all cores)\n\
-                 \x20 --threshold <units>     fixed threshold (default: per-env auto)\n\
-                 \x20 --coupling <units>      coupling delay for topology specs\n\
-                 \x20 --k/--no-lookahead/--fine-tune/--commutation as for place\n\
-                 \x20 --strategy/--budget-ms/--budget-nodes as for place\n\
-                 \x20 --verify                certify every successful outcome\n\
-                 \x20 --no-dedup              disable cross-batch placement dedup\n\
-                 lint options:\n\
-                 \x20 qcp lint <input>... [--qasm-dir <dir>] [--deny]\n\
-                 \x20 inputs are *.qasm files (span-aware), library names, or\n\
-                 \x20 text-format circuit files; --deny fails on any finding (exit 4)\n\
-                 serve options:\n\
-                 \x20 --addr <host:port>      bind address (default 127.0.0.1:7878)\n\
-                 \x20 --workers <n>           worker threads (default: one per core)\n\
-                 \x20 --queue-depth <n>       bounded accept queue; overflow gets 429\n\
-                 \x20 --budget-ms <ms>        default placement deadline (default 2000)\n\
-                 \x20 --max-budget-ms <ms>    ceiling on requested deadlines\n\
-                 \x20 --min-budget-ms <ms>    deadline floor; sub-floor budgets get 429\n\
-                 \x20 --max-body-kb <kb>      request body cap (413 beyond it)\n\
-                 \x20 --cache-entries <n>     result-cache capacity (default 256; 0 disables)\n\
-                 \x20 --chaos                 honor x-qcp-chaos fault-injection headers\n\
-                 \x20 --no-admin              disable POST /admin/drain\n\
-                 exit codes: 0 ok, 2 parse/input, 3 budget exhausted,\n\
-                 \x20          4 verify reject, 5 internal"
-            );
+            eprintln!("{USAGE}");
             ExitCode::from(2)
         }
     }

@@ -69,6 +69,22 @@ fn success_is_exit_zero() {
 }
 
 #[test]
+fn help_prints_the_usage_to_stdout_and_exits_zero() {
+    let mut invocations: Vec<Vec<&str>> = vec![vec!["--help"], vec!["-h"], vec!["help"]];
+    for command in ["place", "batch", "lint", "serve"] {
+        invocations.push(vec![command, "--help"]);
+        invocations.push(vec![command, "-h"]);
+    }
+    for args in invocations {
+        let out = qcp(&args);
+        assert_eq!(exit_code(&out), 0, "{args:?}: {}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: qcp"), "{args:?}: {stdout}");
+        assert!(stderr(&out).is_empty(), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
 fn input_errors_are_exit_two() {
     // Usage error (no subcommand).
     assert_eq!(exit_code(&qcp(&[])), 2);
