@@ -6,6 +6,12 @@
 //! interaction graph still has a monomorphism into the fast graph. The
 //! first gate that breaks embeddability closes the workspace and opens the
 //! next one. Single-qubit gates never break embeddability.
+//!
+//! One loop serves both the paper's split and the §7 gate-commutation
+//! extension: a gate that does not fit is *deferred*, and
+//! [`ExtractionOptions::commutation_aware`] only decides what a deferral
+//! does — close the workspace (the paper), or keep scanning for later
+//! gates that commute with every deferred one (§7).
 
 use qcp_circuit::{Circuit, Gate};
 use qcp_graph::vf2::{self, MonomorphismFinder};
@@ -34,21 +40,9 @@ pub struct ExtractionOptions {
 pub struct Workspace {
     /// The subcircuit (same logical width as the parent circuit).
     pub circuit: Circuit,
-    /// Flat gate index (over the parent's level-order gate sequence) of
-    /// the first gate in this workspace.
-    pub first_gate: usize,
-    /// One past the last gate.
-    pub last_gate: usize,
     /// Interaction graph over all parent qubits; edges only for pairs
     /// coupled inside this workspace.
     pub interaction: Graph,
-}
-
-impl Workspace {
-    /// Number of gates in the workspace.
-    pub fn gate_count(&self) -> usize {
-        self.last_gate - self.first_gate
-    }
 }
 
 /// Splits `circuit` into maximal subcircuits whose interaction graphs
@@ -58,12 +52,14 @@ impl Workspace {
 /// once it trips. Default [`ExtractionOptions`] give the paper's
 /// greedy-maximal scheme.
 ///
-/// With `commutation_aware` set, a gate that would break the current
-/// workspace is *deferred* instead of closing it, and later gates that
-/// commute with every deferred gate may still be hoisted in; deferred
-/// gates seed the next workspace in their original order. The
-/// transformation is sound: a gate only ever jumps over gates it commutes
-/// with.
+/// Each round walks the gates left over from the previous one. A gate
+/// joins the round's workspace while its coupling keeps the workspace's
+/// edge set embeddable (and the gate cap allows); otherwise it is
+/// *deferred*, and deferred gates seed the next workspace in their
+/// original order. In the paper's mode the first deferral closes the
+/// workspace. With `commutation_aware` set, later gates that commute with
+/// every deferred gate may still be hoisted in. The transformation is
+/// sound: a gate only ever jumps over gates it commutes with.
 ///
 /// # Errors
 ///
@@ -77,170 +73,75 @@ pub fn extract_workspaces_budgeted(
     options: ExtractionOptions,
     meter: &mut vf2::Budget,
 ) -> Result<Vec<Workspace>> {
-    if options.commutation_aware {
-        return extract_commutation_aware(circuit, fast, options, meter);
-    }
-    extract_contiguous(circuit, fast, options, meter)
-}
-
-fn extract_contiguous(
-    circuit: &Circuit,
-    fast: &Graph,
-    options: ExtractionOptions,
-    meter: &mut vf2::Budget,
-) -> Result<Vec<Workspace>> {
     let n = circuit.qubit_count();
-    let gates: Vec<Gate> = circuit.gates().cloned().collect();
-    let mut out: Vec<Workspace> = Vec::new();
-
-    let mut start = 0usize;
-    let mut edges: Vec<(usize, usize)> = Vec::new(); // current workspace interactions
-    let mut have_edge = std::collections::HashSet::<(usize, usize)>::new();
-
-    let close = |out: &mut Vec<Workspace>,
-                 start: usize,
-                 end: usize,
-                 edges: &[(usize, usize)],
-                 gates: &[Gate]| {
-        #[allow(clippy::expect_used)]
-        let sub = Circuit::from_gates(n, gates[start..end].iter().cloned())
-            .expect("invariant: subcircuit gates fit the parent width");
-        let mut interaction = Graph::new(n);
-        for &(a, b) in edges {
-            // The edge list was deduplicated as it was collected.
-            let _ = interaction.add_edge(NodeId::new(a), NodeId::new(b), 1.0);
-        }
-        out.push(Workspace {
-            circuit: sub,
-            first_gate: start,
-            last_gate: end,
-            interaction,
-        });
-    };
-
-    for (i, gate) in gates.iter().enumerate() {
-        if let Some(cap) = options.max_gates {
-            if i - start >= cap && i > start {
-                close(&mut out, start, i, &edges, &gates);
-                start = i;
-                edges.clear();
-                have_edge.clear();
-            }
-        }
-        let Some((qa, qb)) = gate.coupling() else {
-            continue;
-        };
-        let key = (qa.index().min(qb.index()), qa.index().max(qb.index()));
-        if have_edge.contains(&key) {
-            continue; // same interaction, still embeddable
-        }
-        let mut tentative = edges.clone();
-        tentative.push(key);
-        if embeds(&tentative, n, fast, meter)? {
-            edges = tentative;
-            have_edge.insert(key);
-            continue;
-        }
-        // The new edge breaks alignment. If the gate cannot even start a
-        // fresh workspace, the threshold kills the computation.
-        if !embeds(&[key], n, fast, meter)? {
-            return Err(PlaceError::NoFastInteractions);
-        }
-        close(&mut out, start, i, &edges, &gates);
-        start = i;
-        edges = vec![key];
-        have_edge.clear();
-        have_edge.insert(key);
-    }
-    close(&mut out, start, gates.len(), &edges, &gates);
-    Ok(out)
-}
-
-/// Commutation-aware extraction (§7 extension): deferred gates hold the
-/// next workspace open while commuting successors are hoisted in.
-fn extract_commutation_aware(
-    circuit: &Circuit,
-    fast: &Graph,
-    options: ExtractionOptions,
-    meter: &mut vf2::Budget,
-) -> Result<Vec<Workspace>> {
-    let n = circuit.qubit_count();
-    let mut remaining: Vec<(usize, Gate)> = circuit.gates().cloned().enumerate().collect();
-    let mut out: Vec<Workspace> = Vec::new();
-
-    while !remaining.is_empty() {
-        let mut current: Vec<(usize, Gate)> = Vec::new();
-        let mut deferred: Vec<(usize, Gate)> = Vec::new();
+    // A cap of zero still admits one gate per workspace.
+    let cap = options.max_gates.map_or(usize::MAX, |cap| cap.max(1));
+    let mut remaining: Vec<&Gate> = circuit.gates().collect();
+    let mut out = Vec::new();
+    loop {
+        let mut joined: Vec<&Gate> = Vec::new();
+        let mut deferred: Vec<&Gate> = Vec::new();
         let mut edges: Vec<(usize, usize)> = Vec::new();
-        let mut have_edge = std::collections::HashSet::<(usize, usize)>::new();
-
-        for (idx, gate) in remaining.drain(..) {
-            let full = options
-                .max_gates
-                .is_some_and(|cap| current.len() >= cap && !current.is_empty());
-            let commutes = deferred.iter().all(|(_, d)| gate.commutes_with(d));
-            if full || !commutes {
-                deferred.push((idx, gate));
+        let mut interaction = Graph::new(n);
+        for (pos, &gate) in remaining.iter().enumerate() {
+            if joined.len() < cap
+                && deferred.iter().all(|d| gate.commutes_with(d))
+                && fits(gate, &mut edges, &mut interaction, fast, meter)?
+            {
+                joined.push(gate);
                 continue;
             }
-            match gate.coupling() {
-                None => current.push((idx, gate)),
-                Some((qa, qb)) => {
-                    let key = (qa.index().min(qb.index()), qa.index().max(qb.index()));
-                    if have_edge.contains(&key) {
-                        current.push((idx, gate));
-                        continue;
-                    }
-                    let mut tentative = edges.clone();
-                    tentative.push(key);
-                    if embeds(&tentative, n, fast, meter)? {
-                        edges = tentative;
-                        have_edge.insert(key);
-                        current.push((idx, gate));
-                    } else {
-                        if !embeds(&[key], n, fast, meter)? {
-                            return Err(PlaceError::NoFastInteractions);
-                        }
-                        deferred.push((idx, gate));
-                    }
-                }
+            deferred.push(gate);
+            if !options.commutation_aware || joined.len() >= cap {
+                // The workspace is closed; the rest of the round seeds the
+                // next one unscanned.
+                deferred.extend_from_slice(&remaining[pos + 1..]);
+                break;
             }
         }
-        if current.is_empty() {
-            // Every gate was deferred against an unsatisfiable head; the
-            // head itself must have been embeddable (checked above), so
-            // this cannot happen — defend anyway.
-            return Err(PlaceError::NoFastInteractions);
-        }
-        // `current` was checked non-empty above.
-        let first = current.iter().map(|&(i, _)| i).min().unwrap_or(0);
-        let last = current.iter().map(|&(i, _)| i).max().unwrap_or(0) + 1;
         #[allow(clippy::expect_used)]
-        let sub = Circuit::from_gates(n, current.iter().map(|(_, g)| g.clone()))
+        let circuit = Circuit::from_gates(n, joined.into_iter().cloned())
             .expect("invariant: subcircuit gates fit the parent width");
-        let mut interaction = Graph::new(n);
-        for &(a, b) in &edges {
-            // The edge list was deduplicated as it was collected.
-            let _ = interaction.add_edge(NodeId::new(a), NodeId::new(b), 1.0);
-        }
         out.push(Workspace {
-            circuit: sub,
-            first_gate: first,
-            last_gate: last,
+            circuit,
             interaction,
         });
+        if deferred.is_empty() {
+            return Ok(out);
+        }
         remaining = deferred;
     }
-    if out.is_empty() {
-        // An empty circuit still yields one (empty) workspace.
-        out.push(Workspace {
-            circuit: Circuit::empty(n),
-            first_gate: 0,
-            last_gate: 0,
-            interaction: Graph::new(n),
-        });
+}
+
+/// Does `gate` fit the workspace whose couplings so far are `edges` (in
+/// the order they joined) and `interaction`? A new coupling fits when the
+/// grown edge set still embeds into `fast`, and is then recorded in both.
+fn fits(
+    gate: &Gate,
+    edges: &mut Vec<(usize, usize)>,
+    interaction: &mut Graph,
+    fast: &Graph,
+    meter: &mut vf2::Budget,
+) -> Result<bool> {
+    let Some((qa, qb)) = gate.coupling() else {
+        return Ok(true);
+    };
+    let (a, b) = (qa.index().min(qb.index()), qa.index().max(qb.index()));
+    if interaction.has_edge(NodeId::new(a), NodeId::new(b)) {
+        return Ok(true); // same interaction, still embeddable
     }
-    Ok(out)
+    edges.push((a, b));
+    if embeds(edges, interaction.node_count(), fast, meter)? {
+        let _ = interaction.add_edge(NodeId::new(a), NodeId::new(b), 1.0);
+        return Ok(true);
+    }
+    edges.pop();
+    if edges.is_empty() {
+        // The gate cannot even start a fresh workspace: the threshold
+        // kills the computation.
+        return Err(PlaceError::NoFastInteractions);
+    }
+    Ok(false)
 }
 
 /// Does the interaction pattern embed into the fast graph? Charges the
@@ -298,13 +199,27 @@ mod tests {
         extract_workspaces_budgeted(c, fast, options, &mut vf2::Budget::unlimited())
     }
 
+    /// Each qubit's gate sequence over `gates`, in order. Two gate orders
+    /// with equal sequences are the same computation; levelling may still
+    /// order gates on disjoint qubits differently.
+    fn per_qubit<'a>(n: usize, gates: impl IntoIterator<Item = &'a Gate>) -> Vec<Vec<&'a Gate>> {
+        let mut seq = vec![Vec::new(); n];
+        for g in gates {
+            let (a, b) = g.qubits();
+            for q in std::iter::once(a).chain(b) {
+                seq[q.index()].push(g);
+            }
+        }
+        seq
+    }
+
     #[test]
     fn chain_circuit_single_workspace_on_chain() {
         let c = library::pseudo_cat(5);
         let fast = generate::chain(5);
         let ws = extract(&c, &fast, ExtractionOptions::default()).unwrap();
         assert_eq!(ws.len(), 1);
-        assert_eq!(ws[0].gate_count(), c.gate_count());
+        assert_eq!(ws[0].circuit.gate_count(), c.gate_count());
     }
 
     #[test]
@@ -323,8 +238,8 @@ mod tests {
         let fast = generate::chain(3);
         let ws = extract(&c, &fast, ExtractionOptions::default()).unwrap();
         assert_eq!(ws.len(), 2);
-        assert_eq!(ws[0].gate_count(), 2);
-        assert_eq!(ws[1].gate_count(), 1);
+        assert_eq!(ws[0].circuit.gate_count(), 2);
+        assert_eq!(ws[1].circuit.gate_count(), 1);
         assert_eq!(ws[0].interaction.edge_count(), 2);
         assert_eq!(ws[1].interaction.edge_count(), 1);
     }
@@ -399,12 +314,12 @@ mod tests {
             "expected multiple workspaces, got {}",
             ws.len()
         );
-        // Ranges tile the gate sequence.
-        assert_eq!(ws[0].first_gate, 0);
-        for pair in ws.windows(2) {
-            assert_eq!(pair[0].last_gate, pair[1].first_gate);
-        }
-        assert_eq!(ws.last().unwrap().last_gate, c.gate_count());
+        // Run one after another, the workspaces are the circuit.
+        let n = c.qubit_count();
+        assert_eq!(
+            per_qubit(n, ws.iter().flat_map(|w| w.circuit.gates())),
+            per_qubit(n, c.gates())
+        );
     }
 
     #[test]
@@ -429,8 +344,8 @@ mod tests {
         // Greedy stops at the triangle edge: zz(0,1), the levelized-early
         // ry(q3), and zz(1,2) are in; the trailing zz(1,2) is stranded in
         // workspace 2 behind the blocker.
-        assert_eq!(plain[0].gate_count(), 3);
-        assert_eq!(plain[1].gate_count(), 2);
+        assert_eq!(plain[0].circuit.gate_count(), 3);
+        assert_eq!(plain[1].circuit.gate_count(), 2);
         let smart = extract(
             &c,
             &fast,
@@ -490,14 +405,13 @@ mod tests {
         .unwrap();
         assert!(capped.len() >= 2, "cap must split the single workspace");
         for w in &capped {
-            assert!(w.gate_count() <= 10);
+            assert!(w.circuit.gate_count() <= 10);
         }
-        // Ranges still tile the circuit.
-        assert_eq!(capped[0].first_gate, 0);
-        for pair in capped.windows(2) {
-            assert_eq!(pair[0].last_gate, pair[1].first_gate);
-        }
-        assert_eq!(capped.last().unwrap().last_gate, c.gate_count());
+        let n = c.qubit_count();
+        assert_eq!(
+            per_qubit(n, capped.iter().flat_map(|w| w.circuit.gates())),
+            per_qubit(n, c.gates())
+        );
     }
 
     #[test]

@@ -22,12 +22,21 @@
 //! Between the golden's two fixed caps, a property test sweeps random
 //! caps over the same corpus × devices and checks that exhaustion is a
 //! threshold in the cap.
+//!
+//! A second table, `EXTRACTION_GOLDEN`, pins §5.1 workspace extraction
+//! itself over the corpus × line/grid/heavy-hex, in the paper's mode and
+//! the §7 commutation-aware mode, with and without a gate cap: a hash of
+//! the split (every workspace's gates and interaction edges) and, in the
+//! paper's mode, the VF2 nodes the embeddability checks charge. The same
+//! `QCP_GOLDEN_PRINT` run prints it.
 
 use proptest::prelude::*;
 
 use qcp_circuit::{qasm, Circuit};
 use qcp_env::topologies::{self, Delays};
 use qcp_env::Environment;
+use qcp_graph::vf2::Budget;
+use qcp_place::workspace::{extract_workspaces_budgeted, ExtractionOptions};
 use qcp_place::{PlaceError, PlacementOutcome, Placer, PlacerConfig, SearchBudget, Strategy};
 
 /// The node caps swept per case: the large cap lets every small circuit
@@ -232,6 +241,181 @@ fn exact_search_accounting_matches_the_golden() {
     assert!(
         failures.is_empty(),
         "search accounting drifted (QCP_GOLDEN_PRINT=1 regenerates):\n{}",
+        failures.join("\n")
+    );
+}
+
+/// The gate caps swept by the extraction table: the paper's greedy-maximal
+/// workspaces, and workspaces closed after three gates.
+const MAX_GATES: [Option<usize>; 2] = [None, Some(3)];
+
+/// `(file stem, device, max_gates, paper split, paper VF2 nodes, §7 split)`
+/// under an unlimited meter. The §7 mode's node count is not pinned: it
+/// may only fall.
+type ExtractionPin = (&'static str, &'static str, Option<usize>, u64, u64, u64);
+
+#[rustfmt::skip]
+const EXTRACTION_GOLDEN: [ExtractionPin; 60] = [
+    ("adder4", "line-16", None, 0x36b9392e04e3ca3f, 235, 0x0692046b19705ec3),
+    ("adder4", "line-16", Some(3), 0xc5f5931cb8a8b156, 105, 0xc5f5931cb8a8b156),
+    ("adder4", "grid-4x4", None, 0xdf6deb11f2eecfd0, 342, 0xec68a1f727079326),
+    ("adder4", "grid-4x4", Some(3), 0xc5f5931cb8a8b156, 105, 0xc5f5931cb8a8b156),
+    ("adder4", "heavy-hex-3", None, 0x4fc23d754f0fb6ca, 280, 0x0bf08f7ea7f3883a),
+    ("adder4", "heavy-hex-3", Some(3), 0xc5f5931cb8a8b156, 105, 0xc5f5931cb8a8b156),
+    ("bell", "line-16", None, 0x1da24e211f6efa14, 3, 0x1da24e211f6efa14),
+    ("bell", "line-16", Some(3), 0x9c9b50e14d6f88a2, 3, 0x9c9b50e14d6f88a2),
+    ("bell", "grid-4x4", None, 0x1da24e211f6efa14, 3, 0x1da24e211f6efa14),
+    ("bell", "grid-4x4", Some(3), 0x9c9b50e14d6f88a2, 3, 0x9c9b50e14d6f88a2),
+    ("bell", "heavy-hex-3", None, 0x1da24e211f6efa14, 3, 0x1da24e211f6efa14),
+    ("bell", "heavy-hex-3", Some(3), 0x9c9b50e14d6f88a2, 3, 0x9c9b50e14d6f88a2),
+    ("ghz8", "line-16", None, 0x745f7dd439fea1a4, 42, 0x745f7dd439fea1a4),
+    ("ghz8", "line-16", Some(3), 0x548b7c2fc6ae8742, 21, 0x548b7c2fc6ae8742),
+    ("ghz8", "grid-4x4", None, 0x745f7dd439fea1a4, 42, 0x745f7dd439fea1a4),
+    ("ghz8", "grid-4x4", Some(3), 0x548b7c2fc6ae8742, 21, 0x548b7c2fc6ae8742),
+    ("ghz8", "heavy-hex-3", None, 0x745f7dd439fea1a4, 42, 0x745f7dd439fea1a4),
+    ("ghz8", "heavy-hex-3", Some(3), 0x548b7c2fc6ae8742, 21, 0x548b7c2fc6ae8742),
+    ("hwe4", "line-16", None, 0xf97818c45df516be, 80, 0x431ed6dd3bbce1aa),
+    ("hwe4", "line-16", Some(3), 0x8744cf487a9601a9, 12, 0x8744cf487a9601a9),
+    ("hwe4", "grid-4x4", None, 0x0bbc8406c658c77d, 18, 0x0bbc8406c658c77d),
+    ("hwe4", "grid-4x4", Some(3), 0x8744cf487a9601a9, 12, 0x8744cf487a9601a9),
+    ("hwe4", "heavy-hex-3", None, 0xf97818c45df516be, 100, 0x431ed6dd3bbce1aa),
+    ("hwe4", "heavy-hex-3", Some(3), 0x8744cf487a9601a9, 12, 0x8744cf487a9601a9),
+    ("ising6", "line-16", None, 0x370686fe61c4bef7, 139, 0x872f91777a976ad3),
+    ("ising6", "line-16", Some(3), 0x78a0c8898ff34e64, 25, 0x78a0c8898ff34e64),
+    ("ising6", "grid-4x4", None, 0x84e7439715f34900, 46, 0x84e7439715f34900),
+    ("ising6", "grid-4x4", Some(3), 0x78a0c8898ff34e64, 25, 0x78a0c8898ff34e64),
+    ("ising6", "heavy-hex-3", None, 0x370686fe61c4bef7, 193, 0x872f91777a976ad3),
+    ("ising6", "heavy-hex-3", Some(3), 0x78a0c8898ff34e64, 25, 0x78a0c8898ff34e64),
+    ("qec3", "line-16", None, 0xfac4fa3c6317daf4, 51, 0x7c5275841480b2d8),
+    ("qec3", "line-16", Some(3), 0x5f33aaaa5bd91ec0, 30, 0x5f33aaaa5bd91ec0),
+    ("qec3", "grid-4x4", None, 0xfac4fa3c6317daf4, 75, 0x7c5275841480b2d8),
+    ("qec3", "grid-4x4", Some(3), 0x5f33aaaa5bd91ec0, 30, 0x5f33aaaa5bd91ec0),
+    ("qec3", "heavy-hex-3", None, 0xfac4fa3c6317daf4, 59, 0x7c5275841480b2d8),
+    ("qec3", "heavy-hex-3", Some(3), 0x5f33aaaa5bd91ec0, 30, 0x5f33aaaa5bd91ec0),
+    ("qft4", "line-16", None, 0x8cf75105142fcbc4, 34, 0xb5d92c24ee806979),
+    ("qft4", "line-16", Some(3), 0x406591dfd6f6d70f, 26, 0x406591dfd6f6d70f),
+    ("qft4", "grid-4x4", None, 0xe1943c1fb49b17b8, 149, 0x7c1d6a469d66306c),
+    ("qft4", "grid-4x4", Some(3), 0x406591dfd6f6d70f, 26, 0x406591dfd6f6d70f),
+    ("qft4", "heavy-hex-3", None, 0xe1943c1fb49b17b8, 89, 0x7c1d6a469d66306c),
+    ("qft4", "heavy-hex-3", Some(3), 0x406591dfd6f6d70f, 26, 0x406591dfd6f6d70f),
+    ("random_cnot12", "line-16", None, 0x7603e50fb5fe376c, 231, 0xb1922f0d15a25364),
+    ("random_cnot12", "line-16", Some(3), 0x5cd3b9eea09981df, 96, 0x5cd3b9eea09981df),
+    ("random_cnot12", "grid-4x4", None, 0x1b3455238165d8bc, 8976, 0x6246ff5f162d5df1),
+    ("random_cnot12", "grid-4x4", Some(3), 0x5cd3b9eea09981df, 96, 0x5cd3b9eea09981df),
+    ("random_cnot12", "heavy-hex-3", None, 0x1b3455238165d8bc, 287, 0x7cff2be8ea5fb728),
+    ("random_cnot12", "heavy-hex-3", Some(3), 0x5cd3b9eea09981df, 96, 0x5cd3b9eea09981df),
+    ("teleport3", "line-16", None, 0xf57a1894c5372740, 7, 0xf57a1894c5372740),
+    ("teleport3", "line-16", Some(3), 0x21ac6aa8ffb4d983, 6, 0x21ac6aa8ffb4d983),
+    ("teleport3", "grid-4x4", None, 0xf57a1894c5372740, 7, 0xf57a1894c5372740),
+    ("teleport3", "grid-4x4", Some(3), 0x21ac6aa8ffb4d983, 6, 0x21ac6aa8ffb4d983),
+    ("teleport3", "heavy-hex-3", None, 0xf57a1894c5372740, 7, 0xf57a1894c5372740),
+    ("teleport3", "heavy-hex-3", Some(3), 0x21ac6aa8ffb4d983, 6, 0x21ac6aa8ffb4d983),
+    ("ugates4", "line-16", None, 0x0a12b96facf28a20, 111, 0x256eeae3c3dad754),
+    ("ugates4", "line-16", Some(3), 0x4def01eff70105bb, 60, 0x4def01eff70105bb),
+    ("ugates4", "grid-4x4", None, 0x0732e59fbca4e56a, 205, 0x88b0cba14046296e),
+    ("ugates4", "grid-4x4", Some(3), 0x4def01eff70105bb, 60, 0x4def01eff70105bb),
+    ("ugates4", "heavy-hex-3", None, 0x0a12b96facf28a20, 147, 0x256eeae3c3dad754),
+    ("ugates4", "heavy-hex-3", Some(3), 0x4def01eff70105bb, 60, 0x4def01eff70105bb),
+];
+
+fn extraction_environments() -> [Environment; 3] {
+    [
+        topologies::line(16, Delays::default()),
+        topologies::grid(4, 4, Delays::default()),
+        topologies::heavy_hex(3, Delays::default()),
+    ]
+}
+
+/// Extracts under an unlimited meter; returns the split's fingerprint
+/// text and the VF2 nodes charged.
+fn split(
+    circuit: &Circuit,
+    env: &Environment,
+    commutation_aware: bool,
+    max_gates: Option<usize>,
+) -> (String, u64) {
+    let fast = env.fast_graph(env.connectivity_threshold().expect("connected"));
+    let mut meter = Budget::unlimited();
+    let options = ExtractionOptions {
+        commutation_aware,
+        max_gates,
+    };
+    let text = match extract_workspaces_budgeted(circuit, &fast, options, &mut meter) {
+        Ok(workspaces) => workspaces
+            .iter()
+            .map(|w| {
+                let gates: Vec<String> = w.circuit.gates().map(ToString::to_string).collect();
+                let edges: Vec<(usize, usize)> = w
+                    .interaction
+                    .edges()
+                    .map(|(a, b, _)| (a.index(), b.index()))
+                    .collect();
+                format!("{} | {edges:?}\n", gates.join("; "))
+            })
+            .collect(),
+        Err(e) => format!("err {e:?}"),
+    };
+    (text, meter.nodes_visited())
+}
+
+#[test]
+fn workspace_extraction_matches_the_golden() {
+    let print = std::env::var_os("QCP_GOLDEN_PRINT").is_some();
+    let envs = extraction_environments();
+    let mut cases = Vec::new();
+    for (stem, _) in &GOLDEN {
+        for env in &envs {
+            for max_gates in MAX_GATES {
+                cases.push((*stem, env, max_gates));
+            }
+        }
+    }
+    if !print {
+        let in_table: Vec<(&str, &str, Option<usize>)> = EXTRACTION_GOLDEN
+            .iter()
+            .map(|&(stem, device, max_gates, ..)| (stem, device, max_gates))
+            .collect();
+        let swept: Vec<(&str, &str, Option<usize>)> = cases
+            .iter()
+            .map(|&(stem, env, max_gates)| (stem, env.name(), max_gates))
+            .collect();
+        assert_eq!(
+            swept, in_table,
+            "extraction cases and EXTRACTION_GOLDEN disagree"
+        );
+    }
+
+    let mut failures = Vec::new();
+    for (i, &(stem, env, max_gates)) in cases.iter().enumerate() {
+        let circuit = load(stem);
+        let (paper, nodes) = split(&circuit, env, false, max_gates);
+        let (commuted, _) = split(&circuit, env, true, max_gates);
+        let got = (fnv1a(&paper), nodes, fnv1a(&commuted));
+        if print {
+            println!(
+                "    ({stem:?}, {:?}, {max_gates:?}, {:#018x}, {}, {:#018x}),",
+                env.name(),
+                got.0,
+                got.1,
+                got.2
+            );
+            continue;
+        }
+        let (.., paper_hash, paper_nodes, commuted_hash) = EXTRACTION_GOLDEN[i];
+        if got != (paper_hash, paper_nodes, commuted_hash) {
+            failures.push(format!(
+                "{stem}@{} max_gates({max_gates:?}): expected ({paper_hash:#018x}, {paper_nodes}, \
+                 {commuted_hash:#018x}), got ({:#018x}, {}, {:#018x})\npaper:\n{paper}§7:\n{commuted}",
+                env.name(),
+                got.0,
+                got.1,
+                got.2
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "workspace extraction drifted (QCP_GOLDEN_PRINT=1 regenerates):\n{}",
         failures.join("\n")
     );
 }

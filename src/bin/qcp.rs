@@ -214,20 +214,15 @@ fn run_place(args: &[String]) -> Result<(), CliError> {
     let mut qasm_arg = None;
     let mut env_arg = None;
     let mut topology_arg = None;
-    let mut coupling = 10.0f64;
-    let mut threshold = None;
-    let mut k = 100usize;
-    let mut lookahead = true;
-    let mut fine_tune = 2usize;
-    let mut commutation = false;
-    let mut strategy = Strategy::Exact;
-    let mut budget = SearchBudget::unlimited();
+    let mut flags = PlacerFlags::default();
     let mut gantt = false;
     let mut exposure = false;
-    let mut verify = false;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if flags.parse(a, &mut it)? {
+            continue;
+        }
         let mut value = |what: &str| {
             it.next()
                 .cloned()
@@ -238,37 +233,8 @@ fn run_place(args: &[String]) -> Result<(), CliError> {
             "--qasm" => qasm_arg = Some(value("--qasm")?),
             "--env" => env_arg = Some(value("--env")?),
             "--topology" => topology_arg = Some(value("--topology")?),
-            "--coupling" => coupling = parse_coupling(&value("--coupling")?)?,
-            "--threshold" => {
-                threshold = Some(
-                    value("--threshold")?
-                        .parse::<f64>()
-                        .map_err(|e| format!("bad threshold: {e}"))?,
-                );
-            }
-            "--auto" => threshold = None,
-            "--k" => k = value("--k")?.parse().map_err(|e| format!("bad k: {e}"))?,
-            "--no-lookahead" => lookahead = false,
-            "--fine-tune" => {
-                fine_tune = value("--fine-tune")?
-                    .parse()
-                    .map_err(|e| format!("bad rounds: {e}"))?;
-            }
-            "--commutation" => commutation = true,
-            "--strategy" => strategy = value("--strategy")?.parse()?,
-            "--budget-ms" => {
-                budget = budget.with_deadline(parse_budget_ms(&value("--budget-ms")?)?);
-            }
-            "--budget-nodes" => {
-                budget = budget.with_nodes(
-                    value("--budget-nodes")?
-                        .parse()
-                        .map_err(|e| format!("bad node budget: {e}"))?,
-                );
-            }
             "--gantt" => gantt = true,
             "--exposure" => exposure = true,
-            "--verify" => verify = true,
             other => return Err(format!("unknown option `{other}`").into()),
         }
     }
@@ -282,31 +248,25 @@ fn run_place(args: &[String]) -> Result<(), CliError> {
     let env = match (env_arg, topology_arg) {
         (Some(_), Some(_)) => return Err("--env and --topology are mutually exclusive".into()),
         (None, None) => return Err("--env or --topology is required".into()),
-        (Some(name), None) => load_env(&name, coupling)?,
-        (None, Some(spec)) => build_topology(&spec, coupling)?,
+        (Some(name), None) => load_env(&name, flags.coupling)?,
+        (None, Some(spec)) => build_topology(&spec, flags.coupling)?,
     };
-    let threshold = match threshold {
-        Some(units) if units < 0.0 || units.is_nan() => {
-            return Err(format!("--threshold must be non-negative, got {units}").into())
-        }
-        Some(units) => Threshold::new(units),
+    let threshold = match flags.threshold {
+        Some(threshold) => threshold,
         None => env
             .connectivity_threshold()
             .ok_or("environment is disconnected; pass --threshold explicitly")?,
     };
 
-    let config = PlacerConfig::with_threshold(threshold)
-        .candidates(k)
-        .lookahead(lookahead)
-        .fine_tuning(fine_tune)
-        .commutation_aware(commutation)
-        .strategy(strategy)
-        .budget(budget);
+    let config = PlacerConfig {
+        threshold,
+        ..flags.config()
+    };
     // The one-shot CLI runs through the same unified request executor as
     // batch and the serve daemon (qcp_place::request), so keying,
     // verification, and error taxonomy can never drift between surfaces.
     let request = PlaceRequest::new(&circuit, &env).config(config);
-    let certifier: Option<&dyn Certifier> = verify.then_some(&PlacementCertifier);
+    let certifier: Option<&dyn Certifier> = flags.verify.then_some(&PlacementCertifier);
     let report = match execute_with(&request, None, certifier) {
         Ok(report) => report,
         Err(PlaceError::VerificationFailed { violations }) => {
@@ -337,7 +297,8 @@ fn run_place(args: &[String]) -> Result<(), CliError> {
         threshold
     );
     println!(
-        "strategy {strategy} resolved {} in {:.1} ms",
+        "strategy {} resolved {} in {:.1} ms",
+        flags.strategy,
         outcome.resolution,
         elapsed.as_secs_f64() * 1e3
     );
@@ -386,25 +347,110 @@ fn run_place(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The placer flags `qcp place` and `qcp batch` share, parsed in one
+/// place so both commands accept and reject the same values.
+struct PlacerFlags {
+    coupling: f64,
+    /// `None` resolves to the connectivity threshold (`--auto`).
+    threshold: Option<Threshold>,
+    k: usize,
+    lookahead: bool,
+    fine_tune: usize,
+    commutation: bool,
+    strategy: Strategy,
+    budget: SearchBudget,
+    verify: bool,
+}
+
+impl Default for PlacerFlags {
+    fn default() -> Self {
+        PlacerFlags {
+            coupling: 10.0,
+            threshold: None,
+            k: 100,
+            lookahead: true,
+            fine_tune: 2,
+            commutation: false,
+            strategy: Strategy::Exact,
+            budget: SearchBudget::unlimited(),
+            verify: false,
+        }
+    }
+}
+
+impl PlacerFlags {
+    /// Parses `flag` if it is a shared one, taking its value from `rest`;
+    /// returns `false` for any other flag.
+    fn parse(
+        &mut self,
+        flag: &str,
+        rest: &mut std::slice::Iter<'_, String>,
+    ) -> Result<bool, CliError> {
+        let mut value = || {
+            rest.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--coupling" => self.coupling = parse_coupling(&value()?)?,
+            "--threshold" => {
+                let units: f64 = value()?
+                    .parse()
+                    .map_err(|e| format!("bad threshold: {e}"))?;
+                if units < 0.0 || units.is_nan() {
+                    return Err(format!("--threshold must be non-negative, got {units}").into());
+                }
+                self.threshold = Some(Threshold::new(units));
+            }
+            "--auto" => self.threshold = None,
+            "--k" => self.k = value()?.parse().map_err(|e| format!("bad k: {e}"))?,
+            "--no-lookahead" => self.lookahead = false,
+            "--fine-tune" => {
+                self.fine_tune = value()?.parse().map_err(|e| format!("bad rounds: {e}"))?;
+            }
+            "--commutation" => self.commutation = true,
+            "--strategy" => self.strategy = value()?.parse()?,
+            "--budget-ms" => self.budget = self.budget.with_deadline(parse_budget_ms(&value()?)?),
+            "--budget-nodes" => {
+                self.budget = self.budget.with_nodes(
+                    value()?
+                        .parse()
+                        .map_err(|e| format!("bad node budget: {e}"))?,
+                );
+            }
+            "--verify" => self.verify = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The placer configuration the flags set, at the default threshold:
+    /// each command resolves the threshold itself.
+    fn config(&self) -> PlacerConfig {
+        PlacerConfig::default()
+            .candidates(self.k)
+            .lookahead(self.lookahead)
+            .fine_tuning(self.fine_tune)
+            .commutation_aware(self.commutation)
+            .strategy(self.strategy)
+            .budget(self.budget)
+    }
+}
+
 /// `qcp batch`: place every circuit on every environment in parallel.
 fn run_batch(args: &[String]) -> Result<(), CliError> {
     let mut circuits_arg = None;
     let mut qasm_dir_arg = None;
     let mut envs_arg = None;
     let mut jobs = 0usize;
-    let mut coupling = 10.0f64;
-    let mut threshold = None;
-    let mut k = 100usize;
-    let mut lookahead = true;
-    let mut fine_tune = 2usize;
-    let mut commutation = false;
-    let mut strategy = Strategy::Exact;
-    let mut budget = SearchBudget::unlimited();
-    let mut verify = false;
+    let mut flags = PlacerFlags::default();
     let mut dedup = true;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if flags.parse(a, &mut it)? {
+            continue;
+        }
         let mut value = |what: &str| {
             it.next()
                 .cloned()
@@ -419,37 +465,6 @@ fn run_batch(args: &[String]) -> Result<(), CliError> {
                     .parse()
                     .map_err(|e| format!("bad job count: {e}"))?;
             }
-            "--coupling" => coupling = parse_coupling(&value("--coupling")?)?,
-            "--threshold" => {
-                let units: f64 = value("--threshold")?
-                    .parse()
-                    .map_err(|e| format!("bad threshold: {e}"))?;
-                if units < 0.0 || units.is_nan() {
-                    return Err(format!("--threshold must be non-negative, got {units}").into());
-                }
-                threshold = Some(Threshold::new(units));
-            }
-            "--auto" => threshold = None,
-            "--k" => k = value("--k")?.parse().map_err(|e| format!("bad k: {e}"))?,
-            "--no-lookahead" => lookahead = false,
-            "--fine-tune" => {
-                fine_tune = value("--fine-tune")?
-                    .parse()
-                    .map_err(|e| format!("bad rounds: {e}"))?;
-            }
-            "--commutation" => commutation = true,
-            "--strategy" => strategy = value("--strategy")?.parse()?,
-            "--budget-ms" => {
-                budget = budget.with_deadline(parse_budget_ms(&value("--budget-ms")?)?);
-            }
-            "--budget-nodes" => {
-                budget = budget.with_nodes(
-                    value("--budget-nodes")?
-                        .parse()
-                        .map_err(|e| format!("bad node budget: {e}"))?,
-                );
-            }
-            "--verify" => verify = true,
             "--no-dedup" => dedup = false,
             other => return Err(format!("unknown option `{other}`").into()),
         }
@@ -473,25 +488,16 @@ fn run_batch(args: &[String]) -> Result<(), CliError> {
     }
     let envs: Vec<Environment> = split_list(&envs_arg.ok_or("--envs is required")?)
         .iter()
-        .map(|name| load_env(name, coupling))
+        .map(|name| load_env(name, flags.coupling))
         .collect::<Result<_, _>>()?;
     if circuits.is_empty() || envs.is_empty() {
         return Err("the circuit list and --envs must both be non-empty".into());
     }
 
-    let base = PlacerConfig::default()
-        .candidates(k)
-        .lookahead(lookahead)
-        .fine_tuning(fine_tune)
-        .commutation_aware(commutation)
-        .strategy(strategy)
-        .budget(budget);
-    let batch = match threshold {
-        Some(t) => {
-            let config = PlacerConfig {
-                threshold: t,
-                ..base
-            };
+    let base = flags.config();
+    let batch = match flags.threshold {
+        Some(threshold) => {
+            let config = PlacerConfig { threshold, ..base };
             BatchPlacer::cross_named(&circuits, &envs, &config)
         }
         None => BatchPlacer::cross_named_auto(&circuits, &envs, &base),
@@ -499,7 +505,7 @@ fn run_batch(args: &[String]) -> Result<(), CliError> {
     let batch = batch.jobs(jobs).dedup(dedup);
     let report = batch.run();
     print!("{report}");
-    if verify {
+    if flags.verify {
         let mut certified = 0usize;
         let mut bad = 0usize;
         for result in &report.results {
@@ -547,17 +553,7 @@ fn run_lint(args: &[String]) -> Result<(), CliError> {
             "--deny" => deny = true,
             "--qasm-dir" => {
                 let dir = it.next().ok_or("--qasm-dir needs a value")?;
-                let entries =
-                    std::fs::read_dir(dir).map_err(|e| format!("cannot read `{dir}`: {e}"))?;
-                let mut paths: Vec<std::path::PathBuf> = entries
-                    .filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| p.extension().is_some_and(|ext| ext == "qasm"))
-                    .collect();
-                paths.sort();
-                if paths.is_empty() {
-                    return Err(format!("`{dir}` contains no .qasm files").into());
-                }
-                inputs.extend(paths.into_iter().map(|p| p.display().to_string()));
+                inputs.extend(qasm_paths(dir)?.iter().map(|p| p.display().to_string()));
             }
             flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`").into()),
             input => inputs.push(input.to_string()),
@@ -794,6 +790,21 @@ fn load_qasm_file(path: &str) -> Result<Circuit, String> {
     Ok(parsed.circuit)
 }
 
+/// The `*.qasm` files in `dir`, sorted by file name; a directory without
+/// one is an error.
+fn qasm_paths(dir: &str) -> Result<Vec<std::path::PathBuf>, String> {
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read `{dir}`: {e}"))?;
+    let mut paths: Vec<std::path::PathBuf> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "qasm"))
+        .collect();
+    paths.sort();
+    if paths.is_empty() {
+        return Err(format!("`{dir}` contains no .qasm files"));
+    }
+    Ok(paths)
+}
+
 /// The result of scanning a QASM directory: the circuits that parsed,
 /// plus a `path:line:col: message` diagnostic per malformed file.
 struct QasmDirLoad {
@@ -807,15 +818,7 @@ struct QasmDirLoad {
 /// instead of sinking the whole batch; only a directory with *no*
 /// parseable file at all is an error.
 fn load_qasm_dir(dir: &str) -> Result<QasmDirLoad, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read `{dir}`: {e}"))?;
-    let mut paths: Vec<std::path::PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "qasm"))
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
-        return Err(format!("`{dir}` contains no .qasm files"));
-    }
+    let paths = qasm_paths(dir)?;
     let total = paths.len();
     let mut load = QasmDirLoad {
         circuits: Vec::new(),

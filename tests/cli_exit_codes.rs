@@ -272,3 +272,34 @@ fn serve_drains_with_exit_zero_and_prints_every_counter() {
         "{rest}"
     );
 }
+
+#[test]
+fn place_and_batch_reject_the_same_bad_placer_flags() {
+    // The flags both commands share are parsed in one place: a value one
+    // command rejects, the other rejects too, whatever the flags after it.
+    let bad: [&[&str]; 13] = [
+        &["--threshold", "NaN"],
+        &["--threshold", "-1"],
+        &["--threshold", "-1", "--auto"],
+        &["--coupling", "inf"],
+        &["--coupling", "-1"],
+        &["--k", "x"],
+        &["--fine-tune", "x"],
+        &["--budget-ms", "x"],
+        &["--budget-nodes", "x"],
+        &["--strategy", "bogus"],
+        &["--threshold"],
+        &["--k"],
+        &["--strategy"],
+    ];
+    for flags in bad {
+        for command in [
+            ["place", "--circuit", "qec3", "--topology", "grid:2x3"],
+            ["batch", "--circuits", "qec3", "--envs", "grid:2x3"],
+        ] {
+            let args: Vec<&str> = command.iter().chain(flags).copied().collect();
+            let out = qcp(&args);
+            assert_eq!(exit_code(&out), 2, "{args:?}: {}", stderr(&out));
+        }
+    }
+}
